@@ -3,11 +3,13 @@ Command-line front door.
 
 Subcommands: classify, invariants, cover, orb-covers, verify-tables,
 realize, short-slopes, audit.  Exit codes: 0 success/verified, 1 invalid
-input, 2 all records failed, 3 enumeration budget exceeded.
+input, 2 all records failed, 3 enumeration budget exceeded, 141 output
+closed early by its reader.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -412,7 +414,14 @@ def main(argv=None) -> int:
             field: getattr(args, flag)
             for flag, field in GLOBAL_FLAGS.items() if hasattr(args, flag)
         })
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`): end quietly, with
+        # stdout pointed at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a writer killed by the signal
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -295,13 +295,20 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
 # '#' starts a comment; blank lines are skipped.
 
 
+def _finite(name: str, token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: non-finite number {token!r}")
+    return value
+
+
 def parse_census_line(line: str) -> CuspRecord:
     tokens = line.split()
     if len(tokens) < 4:
         raise ValueError("record needs: name, shape re, shape im, complement volume")
     name = tokens[0]
-    shape = complex(float(tokens[1]), float(tokens[2]))
-    vol = float(tokens[3])
+    shape = complex(_finite(name, tokens[1]), _finite(name, tokens[2]))
+    vol = _finite(name, tokens[3])
     rest = tokens[4:]
     if len(rest) % 3:
         raise ValueError(f"{name}: filling entries must come in (p, q, volume) triples")
@@ -310,7 +317,7 @@ def parse_census_line(line: str) -> CuspRecord:
         p, q = int(rest[i]), int(rest[i + 1])
         raw = rest[i + 2]
         fillings.append(
-            Filling(Slope(p, q), None if raw.upper() == "EXC" else float(raw))
+            Filling(Slope(p, q), None if raw.upper() == "EXC" else _finite(name, raw))
         )
     return CuspRecord(name, shape, vol, tuple(fillings))
 

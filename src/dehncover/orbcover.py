@@ -1,10 +1,13 @@
 """
 Covers of 2-orbifolds S^2(a,b,c) -> S^2(a',b',c').
 
-Three independent tools live here:
+Four independent tools live here:
 
   * the orbifold Euler characteristic / Riemann-Hurwitz degree computation,
-  * the combinatorial partition condition (necessary for a cover),
+  * the combinatorial partition condition (necessary for a cover): the
+    partition systems of a cover are built by placing each of its cone orders
+    at a base point whose order it divides (at most 27 placements, whatever
+    the degree), and are listed in descending order of their partitions,
   * a brute-force oracle that enumerates monodromy permutation triples and
     certifies exactly which branched covers of S^2 orbifolds exist at a given
     degree, and
@@ -139,17 +142,31 @@ def partition_systems(cover: Orbifold2, base: Orbifold2, n: int) -> list[Partiti
     this combinatorial level.  Base points of equal order get their
     partitions enumerated independently, so systems differing by which point
     carries which partition are listed separately.
+
+    The systems are generated from the wanted cover orders: each order w is
+    placed at a padded base point whose order v it divides, where it becomes
+    the part v/w, and the rest of that point's degree is filled with
+    unbranched parts v.  With k cone points on the cover this tries 3^k
+    placements whatever n is.  The list is sorted descending by partitions.
     """
     base3 = base.padded(3)
-    want = cover.cone_orders
-    systems = []
-    for combo in product(*[divisor_partitions(n, v) for v in base3]):
-        branch = sorted(
-            v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1
-        )
-        if tuple(branch) == want:
-            systems.append(PartitionSystem(n, base3, combo))
-    return systems
+    found = set()
+    for placement in product(range(3), repeat=len(cover.cone_orders)):
+        branched = ([], [], [])
+        for w, i in zip(cover.cone_orders, placement):
+            if base3[i] % w:
+                break
+            branched[i].append(base3[i] // w)
+        else:
+            combo = []
+            for v, parts in zip(base3, branched):
+                rest = n - sum(parts)
+                if rest < 0 or rest % v:
+                    break
+                combo.append(tuple(sorted(parts + [v] * (rest // v), reverse=True)))
+            else:
+                found.add(tuple(combo))
+    return [PartitionSystem(n, base3, combo) for combo in sorted(found, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +398,6 @@ class DegreeSet:
 
     def degrees_up_to(self, maxd: int) -> list[int]:
         return [d for d in range(1, maxd + 1) if d in self]
-
-    def describe(self) -> str:
-        parts = [str(d) for d in sorted(self.finite)]
-        for mult, form in self.forms:
-            expr = "x^2+xy+y^2" if form == "loeschian" else "x^2+y^2"
-            parts.append(f"{mult}*({expr})" if mult != 1 else expr)
-        return "{%s}" % ", ".join(parts) if parts else "{}"
 
 
 _EMPTY = DegreeSet()

@@ -9,7 +9,6 @@ space over S^2(r, s, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -163,11 +162,3 @@ def find_surgery_slopes(
             if cl.kind == LENS and lens_equivalent(cl.lens, target):
                 found.append(Slope(p, q))
     return sorted(set(found))
-
-
-def euler_number_of_surgery(K: TorusKnot, slope: Slope) -> Fraction:
-    """Euler number -p/(rsn) of the canonical SFS representative (n >= 2)."""
-    n = abs(K.r * K.s * slope.q - slope.p)
-    if n < 2:
-        raise ValueError("not in the SFS regime")
-    return Fraction(-slope.p, K.r * K.s * n)

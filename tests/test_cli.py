@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dehncover import cli
@@ -182,6 +188,45 @@ def test_audit_all_records_fail(capsys, tmp_path):
     path.write_text("broken 1 2\nworse\n")
     code, _, err = run(capsys, "audit", str(path))
     assert code == 2
+
+
+def test_audit_non_finite_numbers_warn(capsys, tmp_path, census_records):
+    from conftest import census_text
+
+    good = census_text(census_records[:1]).splitlines()[1]
+    path = tmp_path / "census.txt"
+    path.write_text("inf_shape 0.0 inf 2.0 5 1 0.9\n"
+                    "nan_volume 0.0 2.0 nan 5 1 0.9\n"
+                    f"{good}\n")
+    code, out, err = run(capsys, "audit", str(path))
+    assert code == 0
+    assert [line.split(":")[0] for line in err.splitlines()] == ["warning", "warning"]
+    assert "inf_shape" in err and "nan_volume" in err
+    assert out.startswith("4_1\tverified")
+
+
+def test_closed_pipe_ends_quietly(tmp_path, census_records):
+    from conftest import census_text
+
+    # about 150 kB of report, more than the pipe and stdout buffers hold, so
+    # the writes after the reader has gone must fail
+    records = [dataclasses.replace(rec, name=f"{rec.name}_{i}")
+               for i in range(20) for rec in census_records]
+    path = tmp_path / "census.txt"
+    path.write_text(census_text(records))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dehncover.cli", "--format", "tsv", "audit", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"knot\tcover_slope")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "error:" not in err and "Exception" not in err, err
 
 
 def test_output_deterministic(capsys, census_file):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -7,8 +7,10 @@ from dehncover.core import Orbifold2, is_loeschian, is_two_square
 from dehncover.orbcover import (
     UNCONSTRAINED,
     BudgetExceededError,
+    PartitionSystem,
     chi_orb,
     classify_cover,
+    divisor_partitions,
     oracle_covers,
     partition_systems,
     perm_cover_oracle,
@@ -54,6 +56,46 @@ def test_partition_system_trivial():
     systems = partition_systems(S2((5, 7, 9)), S2((5, 7, 9)), 1)
     assert len(systems) == 1
     assert systems[0].partitions == ((1,), (1,), (1,))
+
+
+def _partition_systems_reference(cover, base, n):
+    """Product of every divisor partition at each base point, filtered by
+    the branch orders it produces."""
+    base3 = base.padded(3)
+    systems = []
+    for combo in product(*[divisor_partitions(n, v) for v in base3]):
+        branch = sorted(v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1)
+        if tuple(branch) == cover.cone_orders:
+            systems.append(PartitionSystem(n, base3, combo))
+    return systems
+
+
+def test_partition_systems_match_reference_small():
+    # every base with orders <= 7, every cover with <= 3 cone orders that
+    # divide a base order, every degree <= 8: equal lists, order included
+    for k in range(4):
+        for base in combinations_with_replacement(range(2, 8), k):
+            divs = sorted({d for v in base for d in range(2, v + 1) if v % d == 0})
+            for j in range(4):
+                for cover in combinations_with_replacement(divs, j):
+                    for n in range(1, 9):
+                        key = (S2(cover), S2(base), n)
+                        assert partition_systems(*key) == _partition_systems_reference(*key), key
+
+
+def test_partition_systems_match_reference_spherical():
+    # the spindle and S^2(2,2,d) covers of the spherical triangle bases at
+    # their table degrees, up to S^2 -> S^2(2,3,5) at degree 60
+    covers = [(), (2, 2), (3, 3), (4, 4), (5, 5), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5)]
+    checked = 0
+    for base in [(2, 3, 3), (2, 3, 4), (2, 3, 5)]:
+        for cover in covers:
+            for n in classify_cover(S2(cover), S2(base)).degrees_up_to(60):
+                key = (S2(cover), S2(base), n)
+                systems = partition_systems(*key)
+                assert systems and systems == _partition_systems_reference(*key), key
+                checked += 1
+    assert checked == 18
 
 
 # --- permutation oracle
