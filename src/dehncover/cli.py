@@ -9,6 +9,7 @@ closed early by its reader.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,8 +57,8 @@ class Config:
             raise ValueError("--budget must be >= 1")
         if min(self.slope_scan_bounds) < 1:
             raise ValueError("slope scan bounds must be positive")
-        if self.volume_tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
+        if not (math.isfinite(self.volume_tolerance) and self.volume_tolerance > 0):
+            raise ValueError("--tolerance must be finite and positive")
         if self.output_format not in ("text", "tsv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

@@ -14,6 +14,14 @@ threshold gives the maximal-cusp length cutoff vcsc_length_bound().  The
 maximal cusp torus has area at least 2*sqrt(3), which converts the cutoff
 to normalized (area 1) length; any two normalized-short slopes then have
 intersection number under 30.84, capping the count at 32.
+
+The short slopes are enumerated from a Lagrange-Gauss reduced basis (u, v)
+of the cusp lattice (Nguyen-Stehle, "Low-dimensional lattice basis
+reduction revisited", ACM TALG 2009).  The lattice has area 1, so a vector
+x u + y v of length <= k has |y| <= k |u|, and in each such row x lies in
+an interval of width about 2k/|u|.  The work is about (k|u| + 1)(2k/|u| + 3)
+candidates however thin the cusp is, where walking the box of
+short_slope_box grows like 1/sqrt(Im(shape)).
 """
 from __future__ import annotations
 
@@ -25,6 +33,22 @@ from .core import Slope
 
 MIN_CUSP_AREA = 2.0 * math.sqrt(3.0)
 LENGTH_TOL = 1e-9  # slack for float length comparisons
+MAX_SHAPE_SKEW = 1e5  # largest accepted |Re(shape)| / |Im(shape)|, see normalize_cusp
+# The candidate region of enumerate_short_slopes is widened by this relative
+# margin.  Under the shape rule the rounding of the reduced basis and of the
+# row bounds stays below about 1e-10 relative, so no slope that passes the
+# final length test can fall outside the region.
+CANDIDATE_SLACK = 1e-7
+
+
+def _check_length_bound(k: float) -> None:
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"length bound must be finite and positive, got {k}")
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def vcsc_length_bound() -> float:
@@ -39,6 +63,7 @@ def normalized_cutoff(k: float | None = None) -> float:
     bound, using the universal lower bound 2*sqrt(3) for the cusp area."""
     if k is None:
         k = vcsc_length_bound()
+    _check_length_bound(k)
     return k / math.sqrt(MIN_CUSP_AREA)
 
 
@@ -55,9 +80,29 @@ class NormalizedCusp:
 
 
 def normalize_cusp(shape: complex) -> NormalizedCusp:
-    """m = 1/sqrt(|Im s|), l = s m, from the cusp shape s = l/m."""
+    """m = 1/sqrt(|Im s|), l = s m, from the cusp shape s = l/m.
+
+    The shape must be finite, not real, and satisfy |Re s| <= MAX_SHAPE_SKEW
+    * |Im s|; otherwise ValueError.  Why: with y = |Im s|, a slope of
+    normalized length <= k has |q| <= k/sqrt(y) and |p + q Re s| <= k sqrt(y),
+    so |p| m + |q| |l| <= 2k (1 + |Re s|/y).  The float expression
+    |p m + q l| then rounds off by at most about 3 * 2^-53 * 2k (1 + 1e5) =
+    6.7e-11 k, which is 3.7e-10 at the audit cutoff, below LENGTH_TOL.  A
+    more skewed shape makes the short slopes cancel huge terms, and its
+    lengths mean nothing in double precision: on 0.3 + 1e-300 i the float
+    reduction ends with coefficients near 3e15 and a shortest vector of
+    length 3.6e134.  The rule also keeps m and l finite: 1e300 + 1e-300 i
+    would overflow l.
+    """
+    if not (math.isfinite(shape.real) and math.isfinite(shape.imag)):
+        raise ValueError(f"non-finite cusp shape {shape}")
     if shape.imag == 0:
         raise ValueError("degenerate cusp shape (real)")
+    if abs(shape.real) > MAX_SHAPE_SKEW * abs(shape.imag):
+        raise ValueError(
+            f"degenerate cusp shape {shape}: |Re| exceeds {MAX_SHAPE_SKEW:g} * |Im|, "
+            "too skewed for double-precision slope lengths"
+        )
     m = 1.0 / math.sqrt(abs(shape.imag))
     cusp = NormalizedCusp(m, shape * m)
     assert abs(cusp.area - 1.0) <= 1e-12
@@ -72,30 +117,77 @@ def slope_length(slope: Slope, cusp: NormalizedCusp) -> float:
 def short_slope_box(k: float, cusp: NormalizedCusp) -> tuple[float, float]:
     """(a, b) such that any slope with |p| > a or |q| > b has normalized
     length greater than k."""
-    if k <= 0:
-        raise ValueError("length bound must be positive")
+    _check_length_bound(k)
     a = abs(k * cusp.l.real) / abs(cusp.m * cusp.l.imag) + k / cusp.m
     b = k / abs(cusp.l.imag)
     return a, b
 
 
+def _reduced_basis(cusp: NormalizedCusp):
+    """Lagrange-Gauss reduction of the cusp basis (m, l).
+
+    Returns ((pu, qu), u, (pv, qv), v) with u = pu m + qu l and v = pv m + qv l
+    a basis of the same lattice, |u| <= |v| and |Re(v conj(u))| <= |u|^2 / 2
+    up to rounding.  Each vector is recomputed from its integer coefficients
+    after every step, so rounding does not accumulate.
+    """
+    m, l = cusp.m, cusp.l
+    a, u = (1, 0), complex(m)
+    b, v = (0, 1), l
+    if abs(u) > abs(v):
+        a, u, b, v = b, v, a, u
+    while True:
+        mu = round((v * u.conjugate()).real / (u.real * u.real + u.imag * u.imag))
+        if mu:
+            b = (b[0] - mu * a[0], b[1] - mu * a[1])
+            v = b[0] * m + b[1] * l
+        if abs(v) >= abs(u):
+            return a, u, b, v
+        a, u, b, v = b, v, a, u
+
+
 def enumerate_short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[Slope, float]]:
     """All primitive slopes (q >= 0) of normalized length <= k, sorted by
-    length (ties by (p, q))."""
-    a, b = short_slope_box(k, cusp)
+    length (ties by (p, q)).
+
+    The lattice vectors x u + y v of a reduced basis (see _reduced_basis)
+    are walked row by row.  The basis spans area A = |Im(conj(u) v)| = 1, so
+    |x u + y v|^2 = |u|^2 (x + y c)^2 + (y A / |u|)^2 with c = Re(v conj(u)) /
+    |u|^2: row y holds short vectors only for |y| <= k |u| / A, and there x
+    lies within sqrt(k^2 - (y A / |u|)^2) / |u| of -y c.  The vector and its
+    negative give the same slope, so only rows y > 0 are walked, plus u for
+    y = 0 (x = +-1 are the only primitive points there).  Candidates with
+    gcd(x, y) = 1 map back to (p, q), and the same float length |p m + q l|
+    as slope_length decides, against k + LENGTH_TOL.  That makes about
+    (k|u| + 1)(2k/|u| + 3) candidates, whatever the shape; |u|^2 <= 2/sqrt(3)
+    for a reduced basis of area 1.
+    """
+    _check_length_bound(k)
     cut = k + LENGTH_TOL
+    reach = cut * (1.0 + CANDIDATE_SLACK)
+    (pu, qu), u, (pv, qv), v = _reduced_basis(cusp)
+    norm_u = u.real * u.real + u.imag * u.imag
+    gram = v * u.conjugate()
+    area = abs(gram.imag)
+    centre = gram.real / norm_u
+    m, l = cusp.m, cusp.l
     out = []
-    length_inf = slope_length(Slope(1, 0), cusp)
-    if length_inf <= cut:
-        out.append((Slope(1, 0), length_inf))
-    for q in range(1, int(b) + 1):
-        for p in range(-int(a), int(a) + 1):
-            if gcd(p, q) != 1:
-                continue
-            slope = Slope(p, q)
-            length = slope_length(slope, cusp)
-            if length <= cut:
-                out.append((slope, length))
+    candidates = [(pu, qu)]
+    for y in range(1, int(reach * math.sqrt(norm_u) / area) + 1):
+        rest = reach * reach - y * y * area * area / norm_u
+        if rest < 0:
+            continue
+        half = math.sqrt(rest / norm_u)
+        c = -y * centre
+        for x in range(math.ceil(c - half), math.floor(c + half) + 1):
+            if gcd(x, y) == 1:
+                candidates.append((x * pu + y * pv, x * qu + y * qv))
+    for p, q in candidates:
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        length = abs(p * m + q * l)
+        if length <= cut:
+            out.append((Slope(p, q), length))
     out.sort(key=lambda t: (t[1], t[0].p, t[0].q))
     return out
 
@@ -106,6 +198,7 @@ def volume_cover_filter(
     """Covering degrees compatible with the given volumes: n >= 1 with
     vol_cover = n * vol_base (within tol) and n * vol_base below the
     complement volume."""
+    _check_tolerance(tol)
     if vol_base <= 0 or vol_cover <= 0:
         raise ValueError("volumes must be positive")
     if vol_base >= vol_complement or vol_cover >= vol_complement:
@@ -149,14 +242,20 @@ class Filling:
 
 @dataclass(frozen=True)
 class CuspRecord:
+    """One knot's ingested data.  The cusp shape must pass the rule of
+    normalize_cusp (finite, not real, |Re| <= MAX_SHAPE_SKEW * |Im|), so a
+    degenerate shape is rejected when the record is built."""
+
     name: str
     cusp_shape: complex
     volume_complement: float
     fillings: tuple[Filling, ...]
 
     def __post_init__(self):
-        if self.cusp_shape.imag == 0:
-            raise ValueError(f"{self.name}: degenerate cusp shape")
+        try:
+            normalize_cusp(self.cusp_shape)
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
         if self.volume_complement <= 0:
             raise ValueError(f"{self.name}: complement volume must be positive")
         for f in self.fillings:
@@ -184,7 +283,6 @@ class AuditRow:
 class AuditReport:
     knot: str
     rows: tuple[AuditRow, ...] = ()
-    error: str | None = None
 
     @property
     def survivors(self) -> tuple[AuditRow, ...]:
@@ -196,9 +294,7 @@ class AuditReport:
 
     @property
     def verified(self) -> bool:
-        return self.error is None and not any(
-            r.status in ("survivor", "unmeasured") for r in self.rows
-        )
+        return not any(r.status in ("survivor", "unmeasured") for r in self.rows)
 
 
 def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
@@ -212,6 +308,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     concrete volume match against every other filling.  An empty survivor
     list verifies the no-cover conjecture for this record.
     """
+    _check_tolerance(tol)
     cusp = normalize_cusp(rec.cusp_shape)
     cutoff = normalized_cutoff()
     fmap = rec.filling_map()

@@ -205,6 +205,13 @@ def test_audit_non_finite_numbers_warn(capsys, tmp_path, census_records):
     assert out.startswith("4_1\tverified")
 
 
+def _cli_env():
+    """The environment for running the CLI in a subprocess from this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_pipe_ends_quietly(tmp_path, census_records):
     from conftest import census_text
 
@@ -214,12 +221,9 @@ def test_closed_pipe_ends_quietly(tmp_path, census_records):
                for i in range(20) for rec in census_records]
     path = tmp_path / "census.txt"
     path.write_text(census_text(records))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "dehncover.cli", "--format", "tsv", "audit", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     )
     assert proc.stdout.readline().startswith(b"knot\tcover_slope")
     proc.stdout.close()
@@ -227,6 +231,53 @@ def test_closed_pipe_ends_quietly(tmp_path, census_records):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and "error:" not in err and "Exception" not in err, err
+
+
+def _run_cli(*argv, timeout):
+    return subprocess.run([sys.executable, "-m", "dehncover.cli", *argv],
+                          capture_output=True, text=True, env=_cli_env(), timeout=timeout)
+
+
+def test_degenerate_cusps_end_in_a_result_or_a_warning(tmp_path):
+    # thin (x, z), skewed (y, z, w, v) and huge (w, v, u) shapes: each record
+    # is audited or warned about, with no hang and no traceback
+    names = {"x": "0.0 1e-300", "y": "0.3 1e-300", "z": "0.3 1e-12",
+             "w": "1e300 1e-300", "v": "1e300 1.0", "u": "1e-300 1e300"}
+    path = tmp_path / "census.txt"
+    path.write_text("".join(f"{name} {shape} 2.0 5 1 0.9\n" for name, shape in names.items()))
+    for command in ("audit", "short-slopes"):
+        proc = _run_cli(command, str(path), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        # "warning: line N: NAME: ..."
+        warned = {line.split(": ")[2] for line in proc.stderr.splitlines()}
+        assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
+        reported = {line.split("\t")[0] for line in proc.stdout.splitlines()
+                    if not line.startswith(" ")}
+        assert warned == {"y", "z", "w", "v"}, proc.stderr
+        assert reported == {"x", "u"}, proc.stdout
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_short_slopes_k_must_be_finite(capsys, census_file, value):
+    code, out, err = run(capsys, "short-slopes", census_file, "--k", value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: length bound must be finite and positive, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_tolerance_must_be_finite(tmp_path, value):
+    # nan turned the survivor row "* -> 1/1 degrees [3,4]" into an elimination,
+    # and inf made the audit loop forever
+    path = tmp_path / "census.txt"
+    path.write_text("a 0.1 1.2 4.0 0 1 0.5 1 1 1.0 3 1 1.5\n")
+    proc = _run_cli("--tolerance", value, "audit", str(path), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --tolerance must be finite and positive\n"
+    proc = _run_cli("audit", str(path), timeout=30)
+    assert "* -> 1/1\tdegrees [3,4]\tsurvivor" in proc.stdout
 
 
 def test_output_deterministic(capsys, census_file):

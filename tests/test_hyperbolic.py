@@ -1,10 +1,14 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dehncover.core import Slope
 from dehncover.hyperbolic import (
+    LENGTH_TOL,
     CuspRecord,
     Filling,
     audit_knot,
@@ -42,8 +46,12 @@ def test_normalize_cusp_examples():
     assert abs(c.area - 1.0) < 1e-12
     c = normalize_cusp(complex(4, 2))
     assert abs(c.area - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        normalize_cusp(complex(3, 0))
+    c = normalize_cusp(complex(1e5, -1.0))  # the most skewed shape accepted
+    assert abs(c.area - 1.0) < 1e-12
+    for bad in (complex(3, 0), complex(1e5 * (1 + 1e-9), 1.0), complex(0.3, 1e-300),
+                complex(1e300, 1e-300), complex(math.inf, 1.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError):
+            normalize_cusp(bad)
 
 
 def test_slope_length_examples():
@@ -89,6 +97,58 @@ def test_box_soundness_random():
         if abs(p) <= a and abs(q) <= b:
             continue
         assert abs(p * c.m + q * c.l) > k
+
+
+def box_loop_short_slopes(cusp, k):
+    """The enumeration as it was before the reduced basis: every primitive
+    point of short_slope_box, kept if its length passes."""
+    a, b = short_slope_box(k, cusp)
+    cut = k + LENGTH_TOL
+    out = []
+    length_inf = slope_length(Slope(1, 0), cusp)
+    if length_inf <= cut:
+        out.append((Slope(1, 0), length_inf))
+    for q in range(1, int(b) + 1):
+        for p in range(-int(a), int(a) + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            slope = Slope(p, q)
+            length = slope_length(slope, cusp)
+            if length <= cut:
+                out.append((slope, length))
+    out.sort(key=lambda t: (t[1], t[0].p, t[0].q))
+    return out
+
+
+@given(
+    re=st.floats(-3.0, 3.0),
+    im=st.floats(1e-3, 10.0),
+    sign=st.sampled_from((1, -1)),
+    k=st.floats(0.5, 12.0),
+)
+def test_enumerate_matches_box_loop(re, im, sign, k):
+    cusp = normalize_cusp(complex(re, sign * im))
+    # the same slopes with the same float lengths in the same order
+    assert enumerate_short_slopes(cusp, k) == box_loop_short_slopes(cusp, k)
+
+
+def test_enumerate_thin_cusp_at_once():
+    # the box has 5.5 million rows here; the reduced basis has one candidate
+    cusp = normalize_cusp(complex(0.0, 1e-12))
+    start = time.process_time()
+    got = enumerate_short_slopes(cusp, normalized_cutoff())
+    assert time.process_time() - start < 0.5
+    assert got == [(Slope(0, 1), slope_length(Slope(0, 1), cusp))]
+    assert abs(got[0][1] - 1e-6) < 1e-18
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+def test_length_bound_must_be_finite_and_positive(k):
+    cusp = normalize_cusp(complex(0, 1))
+    with pytest.raises(ValueError, match="finite and positive"):
+        enumerate_short_slopes(cusp, k)
+    with pytest.raises(ValueError, match="finite and positive"):
+        normalized_cutoff(k)
 
 
 def test_enumerate_short_slopes_unit():
@@ -151,6 +211,15 @@ def test_volume_cover_filter_examples():
     assert volume_cover_filter(SIX1_FILLED, SIX1_FILLED, SIX1_VOLUME, 1e-6) == {1}
     with pytest.raises(ValueError):
         volume_cover_filter(5.0, 1.0, 4.0, 1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-4])
+def test_tolerance_must_be_finite(tol):
+    # nan used to drop real survivors, and inf never ended the degree loop
+    with pytest.raises(ValueError, match="tolerance"):
+        volume_cover_filter(2 * FIG8_FILLED, FIG8_FILLED, FIG8_VOLUME, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        audit_knot(fig8_record(), tol=tol)
 
 
 def test_degree2_obstruction():
@@ -229,6 +298,8 @@ def test_parse_census_line():
         parse_census_line("x 0.0 1.0 2.0 5 1")  # dangling filling tokens
     with pytest.raises(ValueError):
         parse_census_line("x 0.0 1.0 2.0 5 1 9.0")  # filling volume above complement
+    with pytest.raises(ValueError, match="y: degenerate cusp shape"):
+        parse_census_line("y 0.3 1e-300 2.0 5 1 0.9")  # too skewed for float lengths
 
 
 def test_read_census_collects_errors(tmp_path, census_records):
