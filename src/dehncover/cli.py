@@ -35,6 +35,7 @@ from .hyperbolic import (
 )
 from .surgery import LENS, SFS, classify_surgery, find_surgery_slopes
 from .orbcover import (
+    _NEG_SPORADIC,
     BudgetExceededError,
     oracle_covers,
     table_covers,
@@ -73,14 +74,12 @@ GLOBAL_FLAGS = {
 
 # the sporadic high-degree rows checked by verify-tables in addition to the
 # general scan: (cover orders, base orders, degree)
-TARGETED_ROWS = (
-    ((4, 4, 5), (2, 4, 5), 6),
-    ((3, 3, 7), (2, 3, 7), 8),
-    ((2, 7, 7), (2, 3, 7), 9),
-    ((3, 8, 8), (2, 3, 8), 10),
-    ((4, 8, 8), (2, 3, 8), 12),
-    ((9, 9, 9), (2, 3, 9), 12),
-)
+TARGETED_ROWS = _NEG_SPORADIC
+
+# short-slopes lists every slope of normalized length <= R, about 3 R^2 / pi
+# of them per record whatever the cusp shape (an area-1 lattice); a bound
+# past this many is refused rather than left to run for minutes
+MAX_SHORT_SLOPES = 10**6
 
 
 def _fmt_orders(orders) -> str:
@@ -292,6 +291,10 @@ def cmd_short_slopes(args) -> int:
         print("error: no valid records", file=sys.stderr)
         return 2
     cutoff = normalized_cutoff(args.k)
+    expected = 3 * cutoff**2 / math.pi
+    if expected > MAX_SHORT_SLOPES:
+        raise ValueError(f"--k {args.k:g} would list about {expected:,.0f} slopes per record, "
+                         f"more than the limit of {MAX_SHORT_SLOPES:,}")
     for rec in records:
         cusp = normalize_cusp(rec.cusp_shape)
         short = enumerate_short_slopes(cusp, cutoff)

@@ -8,9 +8,11 @@ Four independent tools live here:
     partition systems of a cover are built by placing each of its cone orders
     at a base point whose order it divides (at most 27 placements, whatever
     the degree), and are listed in descending order of their partitions,
-  * a brute-force oracle that enumerates monodromy permutation triples and
-    certifies exactly which branched covers of S^2 orbifolds exist at a given
-    degree, and
+  * a permutation oracle that certifies exactly which branched covers of S^2
+    orbifolds exist at a given degree by finding monodromy triples: for each
+    triple of cycle types it pins the first permutation and builds the second
+    point by point, cutting a branch as soon as the second or the product
+    closes a cycle, or grows a path, that the types rule out, and
   * the closed-form classification tables, split by the sign of the orbifold
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
@@ -24,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
 
@@ -219,39 +220,6 @@ def conjugacy_class_size(n: int, ctype: tuple[int, ...]) -> int:
     return factorial(n) // denom
 
 
-def perms_of_cycle_type(n: int, ctype: tuple[int, ...]):
-    """Generate every permutation of S_n with the given cycle type, once.
-
-    Each cycle is started at the smallest point it moves, which makes the
-    enumeration duplicate-free.
-    """
-    perm = [0] * n
-
-    def rec(avail: tuple[int, ...], counts: Counter):
-        if not avail:
-            yield tuple(perm)
-            return
-        start = avail[0]
-        rest = avail[1:]
-        for length in sorted(k for k, c in counts.items() if c > 0):
-            counts[length] -= 1
-            if length == 1:
-                perm[start] = start
-                yield from rec(rest, counts)
-            else:
-                for tail in iter_permutations(rest, length - 1):
-                    prev = start
-                    for pt in tail:
-                        perm[prev] = pt
-                        prev = pt
-                    perm[prev] = start
-                    chosen = set(tail)
-                    yield from rec(tuple(p for p in rest if p not in chosen), counts)
-            counts[length] += 1
-
-    yield from rec(tuple(range(n)), Counter(ctype))
-
-
 def perms_transitive(perms, n: int) -> bool:
     seen = {0}
     stack = [0]
@@ -305,38 +273,104 @@ class PermWitness:
         )
 
 
-def _solve_third(position: int, known: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Given two of (s0, s1, s2) with s0*s1*s2 = id, return the third."""
-    if position == 0:
-        return perm_inverse(perm_mul(known[1], known[2]))
-    if position == 1:
-        return perm_mul(perm_inverse(known[0]), perm_inverse(known[2]))
-    return perm_inverse(perm_mul(known[0], known[1]))
+def _open_paths(n: int, ctype: tuple[int, ...]):
+    """The bookkeeping of a permutation of the given type built edge by edge.
+
+    Every point starts as a path of one point.  head maps the last point of a
+    path to its first, tail the first to its last, and size the first to its
+    number of points; the entries of a point inside a path or a cycle are
+    stale and never read.  need counts the cycles of each length still to
+    close, and lengths lists the lengths of the type in descending order.
+    """
+    need = [0] * (n + 1)
+    for length in ctype:
+        need[length] += 1
+    return list(range(n)), list(range(n)), [1] * n, need, sorted(set(ctype), reverse=True)
 
 
 def _witness_for_types(n: int, base3, types) -> PermWitness | None:
     """Search for a transitive triple with the given cycle types.
 
-    The largest conjugacy class is pinned to its canonical representative
-    (every solution can be conjugated onto it), the smallest class is
-    enumerated in full, and the third permutation is solved for and
-    type-checked.
+    The triple is rotated so that its largest conjugacy class comes first (a
+    rotation keeps the product the identity), and that permutation a is
+    pinned to its canonical representative: every solution conjugates onto
+    it.  The next one, b, is built point by point, trying every unused image
+    j for b(i); the product m = a*b (m(x) = b(a(x))) grows with it, and b is
+    next assigned at a(j) when that point is open, which extends the path of
+    m ending at j.  The last permutation is c = m^-1, so m must have the
+    third cycle type.  A branch is cut as soon as b or m closes a cycle of a
+    length its type no longer needs, or grows a path longer than the longest
+    cycle it still needs.  Only partial assignments that cannot be completed
+    are cut, so None means that no transitive triple exists; transitivity of
+    <a, b> is tested at the leaves.
     """
     sizes = [conjugacy_class_size(n, t) for t in types]
-    order = sorted(range(3), key=lambda i: sizes[i])
-    i_small, i_mid, i_big = order
-    fixed = canonical_perm(n, types[i_big])
-    want_mid = types[i_mid]
-    for cand in perms_of_cycle_type(n, types[i_small]):
-        known = {i_small: cand, i_big: fixed}
-        derived = _solve_third(i_mid, known)
-        if cycle_type(derived) != want_mid:
-            continue
-        if not perms_transitive((cand, fixed), n):
-            continue
-        known[i_mid] = derived
-        return PermWitness(n, tuple(base3), (known[0], known[1], known[2]))
-    return None
+    k = max(range(3), key=sizes.__getitem__)
+    a = canonical_perm(n, types[k])
+    a_inv = perm_inverse(a)
+    b_head, b_tail, b_size, b_need, b_lengths = _open_paths(n, types[(k + 1) % 3])
+    m_head, m_tail, m_size, m_need, m_lengths = _open_paths(n, types[(k + 2) % 3])
+    b = [-1] * n
+    used = [False] * n
+
+    def extend(i: int, placed: int) -> bool:
+        # b(i) = j adds the edge i -> j to b and the edge x -> j to m; the
+        # edge closes a cycle when j heads the path that ends at i (at x)
+        x = a_inv[i]
+        hb, hm = b_head[i], m_head[x]
+        b_longest = next(length for length in b_lengths if b_need[length])
+        m_longest = next(length for length in m_lengths if m_need[length])
+        for j in range(n):
+            if used[j]:
+                continue
+            if hb == j:
+                if not b_need[b_size[j]]:
+                    continue
+            elif b_size[hb] + b_size[j] > b_longest:
+                continue
+            if hm == j:
+                if not m_need[m_size[j]]:
+                    continue
+            elif m_size[hm] + m_size[j] > m_longest:
+                continue
+            if hb == j:
+                b_need[b_size[j]] -= 1
+            else:
+                tb = b_tail[j]
+                b_tail[hb], b_head[tb] = tb, hb
+                b_size[hb] += b_size[j]
+            if hm == j:
+                m_need[m_size[j]] -= 1
+            else:
+                tm = m_tail[j]
+                m_tail[hm], m_head[tm] = tm, hm
+                m_size[hm] += m_size[j]
+            b[i] = j
+            used[j] = True
+            if placed + 1 == n:
+                if perms_transitive((a, b), n):
+                    return True
+            elif extend(a[j] if b[a[j]] < 0 else b.index(-1), placed + 1):
+                return True
+            b[i] = -1
+            used[j] = False
+            if hb == j:
+                b_need[b_size[j]] += 1
+            else:
+                b_size[hb] -= b_size[j]
+                b_tail[hb], b_head[tb] = i, j
+            if hm == j:
+                m_need[m_size[j]] += 1
+            else:
+                m_size[hm] -= m_size[j]
+                m_tail[hm], m_head[tm] = x, j
+        return False
+
+    if not extend(0, 0):
+        return None
+    b = tuple(b)
+    triple = (a, b, perm_inverse(perm_mul(a, b)))
+    return PermWitness(n, tuple(base3), triple[-k:] + triple[:-k])
 
 
 def perm_cover_oracle(
@@ -349,6 +383,13 @@ def perm_cover_oracle(
     included (callers comparing against the classification tables filter
     them out).  Only genus-0 covers are reported: a transitive triple has
     total cycle count n + 2 exactly when the covering surface is S^2.
+
+    Each triple of cycle types (one divisor partition of n per base point)
+    goes to the search in _witness_for_types, except a typeset whose cover
+    orders, which the types alone determine, already have a witness, and a
+    typeset whose sorted types have already failed: rotating the three
+    permutations, or reversing them and inverting each, keeps the product the
+    identity, so whether a triple exists depends only on that multiset.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -356,15 +397,18 @@ def perm_cover_oracle(
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
     found: dict[tuple[int, ...], PermWitness] = {}
-    typesets = [divisor_partitions(n, v) for v in base3]
-    for types in product(*typesets):
+    failed = set()
+    for types in product(*(divisor_partitions(n, v) for v in base3)):
         if sum(len(t) for t in types) != n + 2:
+            continue
+        orders = PartitionSystem(n, base3, types).branch_orders()
+        key = tuple(sorted(types))
+        if orders in found or key in failed:
             continue
         witness = _witness_for_types(n, base3, types)
         if witness is None:
-            continue
-        orders = witness.cover_orders()
-        if orders not in found:
+            failed.add(key)
+        else:
             found[orders] = witness
     return [(Orbifold2(orders), w) for orders, w in sorted(found.items())]
 

@@ -185,17 +185,12 @@ def _oracle_witness(cover_orders, base_orders, degree: int, budget: int):
 
 
 def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
-    """Base orbifolds a lens space can fiber over while covering B: S^2,
-    S^2(d,d) and, defensively, S^2(2,2,d)."""
+    """Base orbifolds a lens space can fiber over while covering B: S^2 and
+    S^2(d,d)."""
     ds = {1, 2, 3, 4, 5}
     for v in B.cone_orders:
         ds.update(d for d in range(1, v + 1) if v % d == 0)
-    cands = []
-    for d in sorted(ds):
-        cands.append(Orbifold2((d, d)) if d > 1 else Orbifold2(()))
-        if d > 1:
-            cands.append(Orbifold2((2, 2, d)))
-    return cands
+    return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
 
 
 @lru_cache(maxsize=1 << 20)

@@ -266,6 +266,15 @@ def test_short_slopes_k_must_be_finite(capsys, census_file, value):
     assert err == f"error: length bound must be finite and positive, got {value}\n"
 
 
+def test_short_slopes_refuses_a_bound_past_the_slope_limit(census_file):
+    # about 28 million slopes per record: the listing ran past `timeout 10`
+    proc = _run_cli("--format", "tsv", "short-slopes", census_file, "--k", "1e4", timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: --k 10000 would list about 27,566,445 slopes per record, "
+                           "more than the limit of 1,000,000\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_tolerance_must_be_finite(tmp_path, value):
     # nan turned the survivor row "* -> 1/1 degrees [3,4]" into an elimination,

@@ -1,5 +1,7 @@
+import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -8,12 +10,20 @@ from dehncover.orbcover import (
     UNCONSTRAINED,
     BudgetExceededError,
     PartitionSystem,
+    PermWitness,
+    _witness_for_types,
+    canonical_perm,
     chi_orb,
     classify_cover,
+    conjugacy_class_size,
+    cycle_type,
     divisor_partitions,
     oracle_covers,
     partition_systems,
     perm_cover_oracle,
+    perm_inverse,
+    perm_mul,
+    perms_transitive,
     riemann_hurwitz_degree,
     table_covers,
     summary_covers,
@@ -142,6 +152,93 @@ def test_oracle_self_cover_degrees_chi_zero():
             if base in small:
                 found.append(n)
         assert found == [n for n in range(1, 10) if test(n)], base
+
+
+def _perms_of_cycle_type_reference(n, ctype):
+    """Every permutation of S_n with the given cycle type, once: each cycle
+    starts at the smallest point it moves."""
+    perm = [0] * n
+
+    def rec(avail, counts):
+        if not avail:
+            yield tuple(perm)
+            return
+        start, rest = avail[0], avail[1:]
+        for length in sorted(k for k, c in counts.items() if c > 0):
+            counts[length] -= 1
+            if length == 1:
+                perm[start] = start
+                yield from rec(rest, counts)
+            else:
+                for tail in permutations(rest, length - 1):
+                    prev = start
+                    for pt in tail:
+                        perm[prev] = pt
+                        prev = pt
+                    perm[prev] = start
+                    chosen = set(tail)
+                    yield from rec(tuple(p for p in rest if p not in chosen), counts)
+            counts[length] += 1
+
+    yield from rec(tuple(range(n)), Counter(ctype))
+
+
+def _witness_for_types_reference(n, types):
+    """A transitive triple with the given cycle types and product the
+    identity, or None: the largest class is pinned to its canonical
+    representative, the smallest is enumerated in full, and the third
+    permutation is solved for and type-checked."""
+    sizes = [conjugacy_class_size(n, t) for t in types]
+    i_small, i_mid, i_big = sorted(range(3), key=lambda i: sizes[i])
+    fixed = canonical_perm(n, types[i_big])
+    for cand in _perms_of_cycle_type_reference(n, types[i_small]):
+        known = {i_small: cand, i_big: fixed}
+        if i_mid == 0:
+            third = perm_inverse(perm_mul(known[1], known[2]))
+        elif i_mid == 1:
+            third = perm_mul(perm_inverse(known[0]), perm_inverse(known[2]))
+        else:
+            third = perm_inverse(perm_mul(known[0], known[1]))
+        if cycle_type(third) == types[i_mid] and perms_transitive((cand, fixed), n):
+            known[i_mid] = third
+            return known[0], known[1], known[2]
+    return None
+
+
+def test_witness_search_matches_reference():
+    # every typeset with total cycle count n + 2 over every base with orders
+    # <= 9, n <= 7: the search finds a triple exactly when the class
+    # enumeration does, every triple it returns is a witness of its types,
+    # and the oracle, which skips typesets, reports the same cover orders
+    checked = found = 0
+    for base3 in combinations_with_replacement(range(1, 10), 3):
+        for n in range(1, 8):
+            expected = set()
+            for types in product(*[divisor_partitions(n, v) for v in base3]):
+                if sum(len(t) for t in types) != n + 2:
+                    continue
+                witness = _witness_for_types(n, base3, types)
+                reference = _witness_for_types_reference(n, types)
+                assert (witness is None) == (reference is None), (base3, n, types)
+                checked += 1
+                if witness is not None:
+                    found += 1
+                    assert witness.base_orders == base3
+                    assert PermWitness(n, base3, witness.perms).partition_system().partitions == types
+                    expected.add(witness.cover_orders())
+            oracle = {orb.cone_orders for orb, _ in perm_cover_oracle(S2(base3), n)}
+            assert oracle == expected, (base3, n)
+    assert (checked, found) == (1581, 1418)
+
+
+def test_oracle_checks_the_fourth_summary_omitted_row():
+    # S^2(2,2,2) -> S^2(2,3,5) at degree 15, the row past the budget of
+    # verify-tables; enumerating the smallest class took 4.5 s here
+    start = time.process_time()
+    rep = verify_pair(S2((2, 3, 5)), 15, budget=15)
+    assert time.process_time() - start < 0.5
+    assert rep.clean, rep
+    assert rep.documented == ((2, 2, 2),)
 
 
 # --- classification tables
