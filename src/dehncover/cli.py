@@ -49,15 +49,12 @@ class Config:
     """Runtime knobs shared by the commands."""
 
     oracle_degree_budget: int = 12
-    slope_scan_bounds: tuple[int, int] = (60, 8)
     volume_tolerance: float = 1e-4
     output_format: str = "text"
 
     def __post_init__(self):
         if self.oracle_degree_budget < 1:
             raise ValueError("--budget must be >= 1")
-        if min(self.slope_scan_bounds) < 1:
-            raise ValueError("slope scan bounds must be positive")
         if not (math.isfinite(self.volume_tolerance) and self.volume_tolerance > 0):
             raise ValueError("--tolerance must be finite and positive")
         if self.output_format not in ("text", "tsv"):
@@ -75,6 +72,9 @@ GLOBAL_FLAGS = {
 # the sporadic high-degree rows checked by verify-tables in addition to the
 # general scan: (cover orders, base orders, degree)
 TARGETED_ROWS = _NEG_SPORADIC
+
+# the |p| and q bounds of the directed slope scans over one torus knot
+SLOPE_SCAN_BOUNDS = (60, 8)
 
 # short-slopes lists every slope of normalized length <= R, about 3 R^2 / pi
 # of them per record whatever the cusp shape (an area-1 lattice); a bound
@@ -141,22 +141,17 @@ def cmd_cover(args) -> int:
         if cert.partition_system is not None and cert.orbifold_degree > 1:
             print(f"  partitions: {_fmt_partitions(cert.partition_system)}")
         return 0
-    na = abs(K.r * K.s * a.q - a.p)
-    nb = abs(K.r * K.s * b.q - b.p)
-    if dec.reason not in ("reducibility", "rank") and na != nb:
-        print("NO (|rsq−p| mismatch)")
-    else:
-        text = {
-            "reducibility": "reducibility",
-            "chi-mismatch": "orbifold characteristic mismatch",
-            "no-orbifold-cover": "no orbifold cover",
-            "h1-divisibility": "H1 divisibility",
-            "gcd-condition": "gcd condition",
-            "lens-divisibility": "lens divisibility",
-            "realization-failure": "realization failure",
-            "rank": "rank obstruction",
-        }.get(dec.reason, dec.reason or "no cover")
-        print(f"NO ({text})")
+    text = {
+        "reducibility": "reducibility",
+        "chi-mismatch": "orbifold characteristic mismatch",
+        "no-orbifold-cover": "no orbifold cover",
+        "h1-divisibility": "H1 divisibility",
+        "gcd-condition": "gcd condition",
+        "lens-divisibility": "lens divisibility",
+        "realization-failure": "realization failure",
+        "rank": "rank obstruction",
+    }.get(dec.reason, dec.reason or "no cover")
+    print(f"NO ({text})")
     return 0
 
 

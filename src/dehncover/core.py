@@ -298,22 +298,19 @@ def lens_equivalent(L1: LensSpace, L2: LensSpace) -> bool:
     return L1 == L2
 
 
-def lens_covers(cover: LensSpace, base: LensSpace, same_torus_knot: bool = False) -> int | None:
+def lens_covers(cover: LensSpace, base: LensSpace) -> int | None:
     """Degree of the covering cover -> base between lens spaces, or None.
 
-    The degree-d cover of L(p, q) is L(p/d, q), so in general the cover must
-    both divide (p_cover | p_base) and match in q.  When both spaces arise as
-    surgeries on one common torus knot the q-compatibility is automatic and
-    divisibility alone decides.
+    The degree-d cover of L(p, q) is L(p/d, q), so the cover must both divide
+    (p_cover | p_base) and match in q.
     """
     if cover.p == 0 or base.p == 0:
         return 1 if cover == base else None
     if base.p % cover.p != 0:
         return None
     d = base.p // cover.p
-    if not same_torus_knot:
-        if not lens_equivalent(cover, LensSpace(base.p // d, base.q)):
-            return None
+    if not lens_equivalent(cover, LensSpace(base.p // d, base.q)):
+        return None
     return d
 
 

@@ -1,7 +1,7 @@
 """
 Covers of 2-orbifolds S^2(a,b,c) -> S^2(a',b',c').
 
-Four independent tools live here:
+Four tools live here:
 
   * the orbifold Euler characteristic / Riemann-Hurwitz degree computation,
   * the combinatorial partition condition (necessary for a cover): the
@@ -17,8 +17,11 @@ Four independent tools live here:
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
 
-The oracle and the tables are kept independent so they can be checked
-against each other (see verify_pair and the verify-tables CLI command).
+The tables are encoded once, in classify_cover, which the decision procedure
+uses; the inverted views table_covers and summary_covers (every cover of one
+base at one degree) are read off it.  The oracle shares no code with the
+tables, so verify_pair and the verify-tables CLI command check the encoding
+the decisions use against an independent search.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, lcm
 
 from .core import Orbifold2, is_loeschian, is_two_square
 
@@ -481,13 +484,14 @@ _SPHERICAL_22D = {
     (2, 3, 5): (30, (2, 3, 5)),
 }
 
-# (base, d) rows of the (2,2,d) family that the abbreviated summary variant
-# of the table omits; the verifier reports them as documented, not failures.
+# (cover, base, degree) rows of the (2,2,d) family that the abbreviated
+# summary variant of the table omits; the verifier reports them as
+# documented, not failures.
 _SUMMARY_OMITS = {
-    ((2, 3, 3), 2),
-    ((2, 3, 4), 2),
-    ((2, 3, 4), 4),
-    ((2, 3, 5), 2),
+    ((2, 2, 2), (2, 3, 3), 3),
+    ((2, 2, 2), (2, 3, 4), 6),
+    ((2, 2, 4), (2, 3, 4), 3),
+    ((2, 2, 2), (2, 3, 5), 15),
 }
 
 # Remaining sporadic chi > 0 rows with 3-cone-point covers.
@@ -610,96 +614,58 @@ def classify_cover(cover: Orbifold2, base: Orbifold2) -> DegreeSet:
 
 
 # ---------------------------------------------------------------------------
-# Table inversion: all covers of a base at one degree.
+# Table inversion: all covers of a base at one degree, read off classify_cover.
 
 
-def _neg_covers_of(base: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
-    out = set()
-    if len(base) != 3:
-        return out
-    maxv = max(base)
-    for cpat, bpat, deg, needs_y in _NEG_ROWS:
-        if deg != n:
-            continue
-        for x in range(2, maxv + 1):
-            for y in range(2, maxv + 1) if needs_y else (0,):
-                if tuple(sorted(bpat(x, y))) == base:
-                    c = tuple(sorted(cpat(x, y)))
-                    if chi_orb(Orbifold2(c)) < 0:
-                        out.add(c)
-    for c, b, deg in _NEG_SPORADIC:
-        if b == base and deg == n:
-            out.add(c)
-    return out
+@lru_cache(maxsize=None)
+def _covers_by_degree(base: tuple[int, ...]) -> dict:
+    """The covers of S^2(base) with <= 3 cone points that classify_cover
+    admits, keyed by degree.  Under the key UNCONSTRAINED, a chi = 0 base
+    keeps its chi = 0 candidates, whose degrees chi does not fix.
 
+    Each cone order of a cover divides a base cone order, and a cover of
+    degree n has chi(C) = n * chi(B), so the candidates are the multisets of
+    at most 3 divisors of the base orders, each tried at its one degree.  chi
+    is scaled by the lcm of the base orders to stay an integer.
+    """
+    if len(base) > 3:
+        raise ValueError("classification applies to orbifolds with <= 3 cone points")
+    scale = lcm(*base)
 
-def _zero_covers_of(base: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
-    out = set()
-    if base in ((2, 3, 6), (3, 3, 3)) and is_loeschian(n):
-        out.add(base)
-    if base == (2, 4, 4) and is_two_square(n):
-        out.add(base)
-    if base == (2, 3, 6) and n % 2 == 0 and n >= 2 and is_loeschian(n // 2):
-        out.add((3, 3, 3))
-    return out
+    def chi(orders):
+        return 2 * scale - sum(scale - scale // m for m in orders)
 
-
-def _pos_covers_of(base: tuple[int, ...], n: int, summary: bool) -> set[tuple[int, ...]]:
-    out = set()
-    spindle = _as_spindle(base)
-    if spindle is not None:
-        bx, by = spindle
-        if bx % n == 0 and by % n == 0:
-            out.add(tuple(v for v in sorted((bx // n, by // n)) if v > 1))
-    x = _as_22d(base)
-    if x is not None and x >= 2:
-        for d in range(1, x + 1):
-            if x % d:
+    cb = chi(base)
+    divisors = sorted({d for v in base for d in range(2, v + 1) if v % d == 0})
+    out: dict = {}
+    for k in range(4):
+        for cover in combinations_with_replacement(divisors, k):
+            cc = chi(cover)
+            if cb:
+                n, rem = divmod(cc, cb)
+                if rem or n < 1 or n not in _classify_orders(cover, base):
+                    continue
+            elif cc:
                 continue
-            if 2 * x // d == n:
-                out.add((d, d) if d > 1 else ())
-            if x // d == n:
-                out.add((2, 2, d) if d > 1 else (2, 2))
-    if base in _SPHERICAL_DD:
-        total, allowed = _SPHERICAL_DD[base]
-        for d in allowed:
-            if total // d == n:
-                out.add((d, d) if d > 1 else ())
-        total, allowed = _SPHERICAL_22D[base]
-        for d in allowed:
-            if summary and (base, d) in _SUMMARY_OMITS:
-                continue
-            if total // d == n:
-                out.add((2, 2, d))
-    for c, b, deg in _POS_SPORADIC:
-        if b == base and deg == n:
-            out.add(c)
-    return out
-
-
-def _covers_at_degree(base: tuple[int, ...], n: int, summary: bool) -> set[tuple[int, ...]]:
-    cb = chi_orb(Orbifold2(base))
-    if cb < 0:
-        out = _neg_covers_of(base, n)
-    elif cb == 0:
-        out = _zero_covers_of(base, n)
-    else:
-        out = _pos_covers_of(base, n, summary)
-    if n == 1:
-        out.add(base)
+            else:
+                n = UNCONSTRAINED
+            out.setdefault(n, set()).add(cover)
     return out
 
 
 def table_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
     """Cover orbifolds (as reduced order tuples) admitted at degree n by the
-    classification tables."""
-    return _covers_at_degree(base.cone_orders, n, summary=False)
+    classification tables, i.e. the C with n in classify_cover(C, base)."""
+    rows = _covers_by_degree(base.cone_orders)
+    return set(rows.get(n, ())) | {
+        c for c in rows.get(UNCONSTRAINED, ()) if n in _classify_orders(c, base.cone_orders)
+    }
 
 
 def summary_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
     """Same, restricted to the abbreviated summary variant of the table; the
     difference against table_covers is the documented-discrepancy set."""
-    return _covers_at_degree(base.cone_orders, n, summary=True)
+    return {c for c in table_covers(base, n) if (c, base.cone_orders, n) not in _SUMMARY_OMITS}
 
 
 def oracle_covers(
@@ -732,12 +698,11 @@ class PairReport:
 def verify_pair(base: Orbifold2, n: int, budget: int = 12) -> PairReport:
     oracle_set, witnesses = oracle_covers(base, n, budget)
     table_set = table_covers(base, n)
-    summary_set = summary_covers(base, n)
     return PairReport(
         base=base.cone_orders,
         degree=n,
         oracle_only=tuple(sorted(oracle_set - table_set)),
         table_only=tuple(sorted(table_set - oracle_set)),
-        documented=tuple(sorted(table_set - summary_set)),
+        documented=tuple(sorted(c for c in table_set if (c, base.cone_orders, n) in _SUMMARY_OMITS)),
         extra_multicone=tuple(sorted(o for o in witnesses if len(o) > 3)),
     )

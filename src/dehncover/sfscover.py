@@ -219,7 +219,7 @@ def decide_cover_directed(
             detail="a surgery with infinite H_1 cannot cover one with finite H_1",
         )
     if cov.kind == LENS and base.kind == LENS:
-        d = lens_covers(cov.lens, base.lens, same_torus_knot=True)
+        d = lens_covers(cov.lens, base.lens)
         if d is None:
             return CoverDecision(
                 False, reason=LENS_DIVISIBILITY,
@@ -266,7 +266,7 @@ def decide_cover_directed(
             if cov.kind == LENS:
                 if n_exc > 2:
                     continue  # a lens space never covers a 3-fiber SFS
-                dd = lens_covers(cov.lens, sfs_to_lens(inter), same_torus_knot=False)
+                dd = lens_covers(cov.lens, sfs_to_lens(inter))
                 if dd is None:
                     obstructions.append(LENS_DIVISIBILITY)
                     continue

@@ -67,9 +67,14 @@ def test_cover_example_composite(capsys):
 
 
 def test_cover_no_mismatch(capsys):
+    # |rsq - p| differs in both pairs; the reason printed is the obstruction
+    # the procedure computed
     code, out, _ = run(capsys, "cover", 5, 7, 36, 1, 37, 1)
     assert code == 0
-    assert out == "NO (|rsq−p| mismatch)\n"
+    assert out == "NO (no orbifold cover)\n"
+    code, out, _ = run(capsys, "cover", 2, 3, 7, 1, 2, 1)
+    assert code == 0
+    assert out == "NO (H1 divisibility)\n"
 
 
 def test_cover_reducible_reason(capsys):

@@ -224,7 +224,7 @@ def test_lens_covers():
     assert lens_covers(L, L) == 1
     # q-compatibility matters without the common-knot context
     assert lens_covers(LensSpace(5, 1), LensSpace(25, 7)) is None
-    assert lens_covers(LensSpace(5, 1), LensSpace(25, 7), same_torus_knot=True) == 5
+    assert lens_covers(LensSpace(5, 2), LensSpace(25, 7)) == 5
 
 
 # --- quadratic forms

@@ -255,6 +255,43 @@ def test_classify_examples():
 def test_classify_rejects_many_cone_points():
     with pytest.raises(ValueError):
         classify_cover(S2((2, 2, 2, 2)), S2((2, 4, 4)))
+    with pytest.raises(ValueError):
+        table_covers(S2((2, 2, 2, 2)), 1)
+
+
+@pytest.fixture(scope="module")
+def classified_rows():
+    """Every (cover, base, degree) that classify_cover admits for bases with
+    orders <= 9, covers with <= 3 cone orders <= 18 and degrees <= 60."""
+    bases = sorted({S2(o) for o in combinations_with_replacement(range(1, 10), 3)},
+                   key=lambda b: b.cone_orders)
+    covers = [S2(o) for k in range(4) for o in combinations_with_replacement(range(2, 19), k)]
+    rows = []
+    for B in bases:
+        for C in covers:
+            degs = classify_cover(C, B)
+            if degs:
+                rows.extend((C, B, n) for n in degs.degrees_up_to(60))
+    return bases, rows
+
+
+def test_table_covers_match_classify_cover_brute_force(classified_rows):
+    bases, rows = classified_rows
+    want = {}
+    for C, B, n in rows:
+        want.setdefault((B, n), set()).add(C.cone_orders)
+    for B in bases:
+        for n in range(1, 61):
+            assert table_covers(B, n) == want.get((B, n), set()), (B, n)
+
+
+def test_classify_cover_rows_obey_riemann_hurwitz_and_divisibility(classified_rows):
+    # table_covers lists its candidates from both facts
+    _, rows = classified_rows
+    assert len(rows) == 358
+    for C, B, n in rows:
+        assert chi_orb(C) == n * chi_orb(B), (C, B, n)
+        assert all(any(v % w == 0 for v in B.cone_orders) for w in C.cone_orders), (C, B, n)
 
 
 def test_summary_table_documented_rows():
