@@ -96,9 +96,6 @@ class SeifertInvariants:
                 raise ValueError(f"fiber ({a},{be}) is not coprime")
         object.__setattr__(self, "fibers", fibs)
 
-    def exceptional_fibers(self) -> tuple[tuple[int, int], ...]:
-        return tuple((a, be) for a, be in self.fibers if a >= 2)
-
     def base_orbifold(self) -> "Orbifold2":
         return Orbifold2(tuple(a for a, _ in self.fibers))
 

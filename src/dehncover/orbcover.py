@@ -16,6 +16,9 @@ Four tools live here:
   * the closed-form classification tables, split by the sign of the orbifold
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
+    When the characteristic is not zero, Riemann-Hurwitz fixes the degree,
+    chi(cover)/chi(base), and the tables only decide whether the pair covers
+    at it; a pair whose ratio is no positive integer never reaches them.
 
 The tables are encoded once, in classify_cover, which the decision procedure
 uses; the inverted views table_covers and summary_covers (every cover of one
@@ -67,16 +70,15 @@ def chi_orb(orb: Orbifold2) -> Fraction:
 def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
     """The degree chi(cover)/chi(base) forced by multiplicativity.
 
-    Returns the exact rational when chi(base) != 0 (callers check it is a
-    positive integer), UNCONSTRAINED when both characteristics are zero, and
-    None when exactly one is zero (no cover can exist).
+    Returns that degree when chi(base) != 0 and it is a positive integer,
+    UNCONSTRAINED when both characteristics are zero, and None otherwise (no
+    cover can exist).
     """
     cc, cb = chi_orb(cover), chi_orb(base)
-    if cb != 0:
-        if cc == 0:
-            return None
-        return cc / cb
-    return UNCONSTRAINED if cc == 0 else None
+    if cb == 0:
+        return UNCONSTRAINED if cc == 0 else None
+    n = cc / cb
+    return n.numerator if n.denominator == 1 and n > 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +471,12 @@ _NEG_SPORADIC = (
     ((9, 9, 9), (2, 3, 9), 12),
 )
 
-# chi > 0: S^2(d,d) covers of the spherical triangle bases; the degree of
-# the d-row is total/d.
-_SPHERICAL_DD = {
-    (2, 3, 3): (12, (1, 2, 3)),
-    (2, 3, 4): (24, (1, 2, 3, 4)),
-    (2, 3, 5): (60, (1, 2, 3, 5)),
-}
+# chi > 0: the d of the S^2(d,d) covers (d = 1 meaning S^2) of the spherical
+# triangle bases.
+_SPHERICAL_DD = {(2, 3, 3): (1, 2, 3), (2, 3, 4): (1, 2, 3, 4), (2, 3, 5): (1, 2, 3, 5)}
 
-# chi > 0: S^2(2,2,d) covers of the spherical triangle bases.
-_SPHERICAL_22D = {
-    (2, 3, 3): (6, (2,)),
-    (2, 3, 4): (12, (2, 3, 4)),
-    (2, 3, 5): (30, (2, 3, 5)),
-}
+# chi > 0: the d of the S^2(2,2,d) covers of the spherical triangle bases.
+_SPHERICAL_22D = {(2, 3, 3): (2,), (2, 3, 4): (2, 3, 4), (2, 3, 5): (2, 3, 5)}
 
 # (cover, base, degree) rows of the (2,2,d) family that the abbreviated
 # summary variant of the table omits; the verifier reports them as
@@ -530,18 +524,16 @@ def _as_22d(orders: tuple[int, ...]) -> int | None:
     return None
 
 
-def _neg_degrees(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
-    degs = set()
-    cvals = sorted(set(cover))  # x and y always appear among the cover orders
-    for cpat, bpat, deg, needs_y in _NEG_ROWS:
-        for x in cvals:
-            for y in cvals if needs_y else (0,):
-                if tuple(sorted(cpat(x, y))) == cover and tuple(sorted(bpat(x, y))) == base:
-                    degs.add(deg)
-    for c, b, deg in _NEG_SPORADIC:
-        if cover == c and base == b:
-            degs.add(deg)
-    return DegreeSet(frozenset(degs))
+def _is_neg_row(cover: tuple[int, ...], base: tuple[int, ...], n: int) -> bool:
+    """Whether cover -> base is a chi < 0 row of degree n."""
+    cvals = set(cover)  # x and y always appear among the cover orders
+    return (cover, base, n) in _NEG_SPORADIC or any(
+        tuple(sorted(cpat(x, y))) == cover and tuple(sorted(bpat(x, y))) == base
+        for cpat, bpat, deg, needs_y in _NEG_ROWS
+        if deg == n
+        for x in cvals
+        for y in (cvals if needs_y else (0,))
+    )
 
 
 def _zero_degrees(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
@@ -554,59 +546,43 @@ def _zero_degrees(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
     return _EMPTY
 
 
-def _pos_degrees(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
-    degs = set()
+def _is_pos_row(cover: tuple[int, ...], base: tuple[int, ...], n: int) -> bool:
+    """Whether cover -> base is a chi > 0 row of degree n."""
     spindle_c, spindle_b = _as_spindle(cover), _as_spindle(base)
     if spindle_c is not None and spindle_b is not None:
         (cx, cy), (bx, by) = spindle_c, spindle_b
         if bx % cx == 0 and by % cy == 0 and bx // cx == by // cy:
-            degs.add(bx // cx)
+            return True
+    # S^2(d,d) and S^2(2,2,d) cover S^2(2,2,x) when d divides x, and a
+    # spherical triangle base for the d its row lists
     x = _as_22d(base)
-    if x is not None and x >= 2:
-        d = _as_dd(cover)
-        if d is not None and x % d == 0:
-            degs.add(2 * x // d)
-        d = _as_22d(cover)
-        if d is not None and x % d == 0:
-            degs.add(x // d)
-    if base in _SPHERICAL_DD:
-        d = _as_dd(cover)
-        if d is not None:
-            total, allowed = _SPHERICAL_DD[base]
-            if d in allowed:
-                degs.add(total // d)
-        d = _as_22d(cover)
-        if d is not None and d >= 2:
-            total, allowed = _SPHERICAL_22D[base]
-            if d in allowed:
-                degs.add(total // d)
-    for c, b, deg in _POS_SPORADIC:
-        if cover == c and base == b:
-            degs.add(deg)
-    return DegreeSet(frozenset(degs))
+    for d, spherical in ((_as_dd(cover), _SPHERICAL_DD), (_as_22d(cover), _SPHERICAL_22D)):
+        if d is not None and (x is not None and x % d == 0 or d in spherical.get(base, ())):
+            return True
+    return (cover, base, n) in _POS_SPORADIC
 
 
 @lru_cache(maxsize=None)
 def _classify_orders(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
-    cc = chi_orb(Orbifold2(cover))
-    cb = chi_orb(Orbifold2(base))
-    if cc < 0 and cb < 0:
-        degs = _neg_degrees(cover, base)
-    elif cc == 0 and cb == 0:
-        degs = _zero_degrees(cover, base)
-    elif cc > 0 and cb > 0:
-        degs = _pos_degrees(cover, base)
-    else:
-        degs = _EMPTY
-    if cover == base and 1 not in degs:
-        degs = DegreeSet(degs.finite | {1}, degs.forms)
-    return degs
+    B = Orbifold2(base)
+    n = riemann_hurwitz_degree(Orbifold2(cover), B)
+    if n is UNCONSTRAINED:
+        return _zero_degrees(cover, base)
+    if n is None:
+        return _EMPTY
+    is_row = _is_neg_row if chi_orb(B) < 0 else _is_pos_row
+    if cover == base or is_row(cover, base, n):
+        return DegreeSet(frozenset({n}))
+    return _EMPTY
 
 
 def classify_cover(cover: Orbifold2, base: Orbifold2) -> DegreeSet:
     """All degrees in which cover -> base exists, per the classification
-    tables.  The chi > 0 part is the complete list; an abbreviated summary
-    variant omits four of its rows (see summary_covers for the difference).
+    tables.  For chi != 0 this is at most the one degree Riemann-Hurwitz
+    forces, kept when the tables list the pair as a row of that degree; for
+    chi = 0 it is a quadratic-form family.  The chi > 0 part is the complete
+    list; an abbreviated summary variant omits four of its rows (see
+    summary_covers for the difference).
     """
     if len(cover.cone_orders) > 3 or len(base.cone_orders) > 3:
         raise ValueError("classification applies to orbifolds with <= 3 cone points")

@@ -36,7 +36,6 @@ from .core import (
 )
 from .surgery import LENS, REDUCIBLE, SFS, classify_surgery, surgery_seifert_invariants
 from .orbcover import (
-    UNCONSTRAINED,
     PartitionSystem,
     PermWitness,
     chi_orb,
@@ -186,10 +185,11 @@ def _oracle_witness(cover_orders, base_orders, degree: int, budget: int):
 
 def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     """Base orbifolds a lens space can fiber over while covering B: S^2 and
-    S^2(d,d)."""
-    ds = {1, 2, 3, 4, 5}
-    for v in B.cone_orders:
-        ds.update(d for d in range(1, v + 1) if v % d == 0)
+    S^2(d,d) with d dividing an order of B.  They have chi > 0, so there are
+    none when chi(B) <= 0."""
+    if chi_orb(B) <= 0:
+        return []
+    ds = {d for v in B.cone_orders for d in range(1, v + 1) if v % d == 0}
     return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
 
 
@@ -237,7 +237,13 @@ def decide_cover_directed(
     h_cover = abs(cover_slope.p)
     candidates: list[tuple[int, Orbifold2]] = []
     if cov.kind == SFS:
-        C_list = [cov.base_orbifold()]
+        C = cov.base_orbifold()
+        if riemann_hurwitz_degree(C, B) is None:
+            return CoverDecision(
+                False, reason=CHI_MISMATCH,
+                detail="orbifold Euler characteristics admit no integer degree",
+            )
+        C_list = [C]
     else:
         C_list = _lens_candidate_bases(B)
     for C in C_list:
@@ -296,13 +302,6 @@ def decide_cover_directed(
             return CoverDecision(True, cert)
 
     if not candidates:
-        if cov.kind == SFS:
-            rh = riemann_hurwitz_degree(cov.base_orbifold(), B)
-            if rh is None or (rh is not UNCONSTRAINED and (rh.denominator != 1 or rh < 1)):
-                return CoverDecision(
-                    False, reason=CHI_MISMATCH,
-                    detail="orbifold Euler characteristics admit no integer degree",
-                )
         return CoverDecision(
             False, reason=NO_ORBIFOLD_COVER,
             detail="no admissible cover between the base orbifolds",

@@ -66,7 +66,6 @@ def classify_surgery(K: TorusKnot, slope: Slope) -> SurgeryClassification:
     return SurgeryClassification(SFS, n, invariants=surgery_seifert_invariants(K, slope))
 
 
-@lru_cache(maxsize=1 << 18)
 def surgery_seifert_invariants(K: TorusKnot, slope: Slope) -> SeifertInvariants:
     """Seifert invariants of p/q surgery on T(r,s) when n = |rsq - p| >= 2.
 

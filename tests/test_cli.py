@@ -280,6 +280,14 @@ def test_short_slopes_refuses_a_bound_past_the_slope_limit(census_file):
                            "more than the limit of 1,000,000\n")
 
 
+def test_cover_lens_against_a_huge_hyperbolic_base_ends_fast():
+    # 5/1 on T(2,3) is a lens space and -999999994/1 fibers over
+    # S^2(2,3,10^9): the lens candidates walked every divisor of 10^9
+    proc = _run_cli("cover", "2", "3", "5", "1", "-999999994", "1", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NO (no orbifold cover)\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_tolerance_must_be_finite(tmp_path, value):
     # nan turned the survivor row "* -> 1/1 degrees [3,4]" into an elimination,

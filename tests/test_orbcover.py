@@ -46,6 +46,10 @@ def test_riemann_hurwitz():
     assert riemann_hurwitz_degree(S2((3, 3, 7)), S2((2, 3, 7))) == 8
     assert riemann_hurwitz_degree(S2((3, 3, 3)), S2((2, 3, 6))) is UNCONSTRAINED
     assert riemann_hurwitz_degree(S2((2, 3, 7)), S2((3, 3, 3))) is None
+    # 4/7 and -5/7 are no degrees, and classify_cover admits nothing there
+    for C, B in [(S2((2, 3, 7)), S2((2, 3, 8))), (S2((2, 3, 7)), S2((2, 3, 5)))]:
+        assert riemann_hurwitz_degree(C, B) is None
+        assert not classify_cover(C, B)
 
 
 # --- partition systems

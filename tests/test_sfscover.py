@@ -249,6 +249,7 @@ def test_exceptional_knot_scan_frozen():
         (3, 5): (23, {}),
         (4, 5): (10, {}),
     }
+    reasons = Counter()
     for (r, s), (want_total, want_orb) in expected.items():
         K = TorusKnot(r, s)
         slopes = [
@@ -257,14 +258,9 @@ def test_exceptional_knot_scan_frozen():
             for q in range(1, 5)
             if gcd(p, q) == 1
         ]
-        certs = []
-        for a in slopes:
-            for b in slopes:
-                if a == b:
-                    continue
-                dec = decide_cover_directed(K, a, b)
-                if dec.covers:
-                    certs.append(dec.certificate)
+        decisions = [decide_cover_directed(K, a, b) for a in slopes for b in slopes if a != b]
+        reasons.update(dec.reason for dec in decisions)
+        certs = [dec.certificate for dec in decisions if dec.covers]
         assert len(certs) == want_total, (r, s, len(certs))
         by_orb = Counter(c.orbifold_degree for c in certs if c.orbifold_degree > 1)
         assert dict(by_orb) == want_orb, (r, s, dict(by_orb))
@@ -281,6 +277,18 @@ def test_exceptional_knot_scan_frozen():
                 assert abs(lhs) == abs(rhs)  # mirror matches flip the sign
             if c.perm_witness is not None:
                 assert c.perm_witness.degree == c.orbifold_degree
+    # an early exit that moved a pair to another obstruction shows here
+    assert reasons == {
+        "chi-mismatch": 169_521,
+        "no-orbifold-cover": 9_252,
+        "h1-divisibility": 3_076,
+        "reducibility": 1_920,
+        "rank": 955,
+        None: 241,
+        "lens-divisibility": 128,
+        "realization-failure": 106,
+        "gcd-condition": 81,
+    }
 
 
 def test_orientation_reversing_cosmetic_pairs():
