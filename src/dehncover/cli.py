@@ -18,12 +18,10 @@ from .core import (
     LensRegimeError,
     LensSpace,
     Orbifold2,
-    SeifertInvariants,
     Slope,
     TorusKnot,
     euler_number,
     h1_order,
-    normalize,
     parse_seifert,
 )
 from .hyperbolic import (
@@ -271,9 +269,7 @@ def cmd_realize(args) -> int:
         target = LensSpace(p, q)
     else:
         raise ValueError(f"target must be Seifert invariants {{b;(a,b),...}} or L(p,q), got {text!r}")
-    if isinstance(target, SeifertInvariants):
-        target = normalize(target)
-    for slope in find_surgery_slopes(K, target, bound=args.bound):
+    for slope in find_surgery_slopes(K, target):
         print(slope)
     return 0
 
@@ -389,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.add_argument("target", help='Seifert invariants "{b;(a1,b1),...}" or lens space "L(p,q)"')
-    p.add_argument("--bound", type=int, default=32, help="q bound for lens targets")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("short-slopes", help="enumerate short slopes per census record", parents=[common])

@@ -78,23 +78,29 @@ class SeifertInvariants:
     """Seifert invariants {b; (a1,b1), ..., (an,bn)} of an orientable Seifert
     fibration over S^2.
 
-    The presentation is not required to be normalised; fibers are stored
-    sorted so that equal presentations compare equal.  Each pair with
-    alpha >= 2 must be coprime; pairs with alpha = 1 are allowed and can be
-    absorbed into b.
+    Stored in the unique normalised form: pairs with alpha = 1 absorbed into
+    b, 0 <= beta_i < alpha_i, fibers sorted.  Each shift (a, beta) ->
+    (a, beta - a), b -> b + 1 preserves the manifold, so presentations that
+    differ by shifts compare equal.  Each pair with alpha >= 2 must be coprime.
     """
 
     b: int
     fibers: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        fibs = tuple(sorted((int(a), int(be)) for a, be in self.fibers))
-        for a, be in fibs:
+        b = int(self.b)
+        fibs = []
+        for a, be in self.fibers:
+            a, be = int(a), int(be)
             if a < 1:
                 raise ValueError(f"fiber order {a} < 1")
             if a >= 2 and gcd(a, be) != 1:
                 raise ValueError(f"fiber ({a},{be}) is not coprime")
-        object.__setattr__(self, "fibers", fibs)
+            b += be // a
+            if a >= 2:
+                fibs.append((a, be % a))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "fibers", tuple(sorted(fibs)))
 
     def base_orbifold(self) -> "Orbifold2":
         return Orbifold2(tuple(a for a, _ in self.fibers))
@@ -185,23 +191,13 @@ class Orbifold2:
 
 
 def normalize(M: SeifertInvariants) -> SeifertInvariants:
-    """Unique normalised form: 0 <= beta_i < alpha_i, alpha = 1 pairs absorbed.
-
-    Each shift (a, b) -> (a, b - a), b -> b + 1 preserves the manifold.
-    """
-    b = M.b
-    fibers = []
-    for a, be in M.fibers:
-        b += be // a
-        be %= a
-        if a >= 2:
-            fibers.append((a, be))
-    return SeifertInvariants(b, tuple(fibers))
+    """The identity: SeifertInvariants are normalised when built; kept for callers."""
+    return M
 
 
 def mirror(M: SeifertInvariants) -> SeifertInvariants:
-    """The orientation reversal {-b; (a_i, -beta_i)}, normalised."""
-    return normalize(SeifertInvariants(-M.b, tuple((a, -be) for a, be in M.fibers)))
+    """The orientation reversal {-b; (a_i, -beta_i)}."""
+    return SeifertInvariants(-M.b, tuple((a, -be) for a, be in M.fibers))
 
 
 def euler_number(M: SeifertInvariants) -> Fraction:
@@ -230,13 +226,12 @@ def sfs_equivalent(M1: SeifertInvariants, M2: SeifertInvariants) -> bool:
     Lens-space presentations (<= 2 exceptional fibers) must be compared via
     sfs_to_lens / lens_equivalent instead.
     """
-    n1, n2 = normalize(M1), normalize(M2)
-    if len(n1.fibers) <= 2 or len(n2.fibers) <= 2:
+    if len(M1.fibers) <= 2 or len(M2.fibers) <= 2:
         raise LensRegimeError(
             "sfs_equivalent needs >= 3 exceptional fibers; route lens "
             "presentations through sfs_to_lens"
         )
-    return n1 == n2 or n1 == mirror(n2)
+    return M1 == M2 or M1 == mirror(M2)
 
 
 def _lens_from_filling_slopes(m0: tuple[int, int], m1: tuple[int, int]) -> LensSpace:
@@ -276,15 +271,14 @@ def sfs_to_lens(M: SeifertInvariants) -> LensSpace:
     """The lens space presented by Seifert invariants with <= 2 exceptional
     fibers, via the 2x2 gluing calculus on the two fibered solid tori.
     """
-    n = normalize(M)
-    fibers = list(n.fibers)
+    fibers = list(M.fibers)
     if len(fibers) > 2:
         raise LensRegimeError(f"{M} has {len(fibers)} exceptional fibers, not a lens presentation")
     while len(fibers) < 2:
         fibers.append((1, 0))
     (a1, b1), (a2, b2) = fibers
     # fold b into the first filling; the section reverses sign on the other side
-    return _lens_from_filling_slopes((-a2, b2), (a1, b1 + n.b * a1))
+    return _lens_from_filling_slopes((-a2, b2), (a1, b1 + M.b * a1))
 
 
 def lens_equivalent(L1: LensSpace, L2: LensSpace) -> bool:

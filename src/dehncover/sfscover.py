@@ -12,14 +12,17 @@ first homology.
 Degrees compose as total = fiberwise x orbifold.  Under a fiberwise cover of
 degree d the covered manifold scales as {d b; (a_i, d beta_i)} (so |H_1|
 multiplies by d going down); under a pullback of degree d the euler number
-multiplies by d going up.
+multiplies by d going up.  A pullback along C -> B also has exactly C's cone
+orders as its fiber orders, so its |H_1| = d |H_1(base)| prod(C) / prod(B),
+and with it the fiberwise degree, is fixed by the candidate (d, C) and checked
+once for all of its partition systems.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .core import (
     Orbifold2,
@@ -28,9 +31,7 @@ from .core import (
     TorusKnot,
     _modinv,
     euler_number,
-    h1_order,
     lens_covers,
-    normalize,
     sfs_equivalent,
     sfs_to_lens,
 )
@@ -71,7 +72,7 @@ def fiberwise_quotient(M: SeifertInvariants, d: int) -> SeifertInvariants:
     for a, _ in M.fibers:
         if gcd(d, a) != 1:
             raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
-    return normalize(SeifertInvariants(d * M.b, tuple((a, d * be) for a, be in M.fibers)))
+    return SeifertInvariants(d * M.b, tuple((a, d * be) for a, be in M.fibers))
 
 
 def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
@@ -84,13 +85,12 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    n = normalize(M)
-    for a, _ in n.fibers:
+    for a, _ in M.fibers:
         if gcd(d, a) != 1:
             raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
-    lifted = tuple((a, (_modinv(d, a) * be) % a) for a, be in n.fibers)
+    lifted = tuple((a, (_modinv(d, a) * be) % a) for a, be in M.fibers)
     # b~ = -e(M)/d - sum beta~/alpha must come out an integer
-    total = -euler_number(n) / d - sum(
+    total = -euler_number(M) / d - sum(
         (Fraction(bt, a) for a, bt in lifted), Fraction(0)
     )
     if total.denominator != 1:
@@ -107,24 +107,15 @@ def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:
     M's fibers in sorted order (systems differing by which equal-order point
     carries which partition are distinct systems).
     """
-    n = normalize(M)
-    fibers = list(n.fibers)
-    orders = tuple(sorted(a for a, _ in fibers))
+    orders = tuple(a for a, _ in M.fibers)
     sys_orders = tuple(v for v in sys.base_orders if v > 1)
     if orders != sys_orders:
         raise ValueError(
             f"partition system over S2{sys_orders} does not match base orbifold S2{orders}"
         )
-    new_fibers = []
-    idx = 0
-    for v, parts in zip(sys.base_orders, sys.partitions):
-        if v == 1:
-            continue
-        a, be = fibers[idx]
-        idx += 1
-        for k in parts:
-            new_fibers.append((a // k, be))
-    return normalize(SeifertInvariants(sys.degree * n.b, tuple(new_fibers)))
+    branched = [parts for v, parts in zip(sys.base_orders, sys.partitions) if v > 1]
+    new_fibers = tuple((a // k, be) for (a, be), parts in zip(M.fibers, branched) for k in parts)
+    return SeifertInvariants(sys.degree * M.b, new_fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -246,46 +237,42 @@ def decide_cover_directed(
         C_list = [C]
     else:
         C_list = _lens_candidate_bases(B)
+    # chi(B) = 0: unbounded self-cover family, of which only the trivial
+    # orbifold part is searched (total degree is otherwise forced past the
+    # H_1 bound)
+    chi_zero = chi_orb(B) == 0
     for C in C_list:
         degs = classify_cover(C, B)
-        if chi_orb(B) == 0:
-            # unbounded self-cover family: only the trivial orbifold part is
-            # searched (total degree is otherwise forced past the H_1 bound)
-            admitted = [1] if 1 in degs else []
-        else:
-            admitted = sorted(degs.finite)
+        admitted = ([1] if 1 in degs else []) if chi_zero else sorted(degs.finite)
         candidates.extend((d, C) for d in admitted)
     candidates.sort(key=lambda t: (t[0], t[1].cone_orders))
 
-    obstructions = []
+    obstructions = set()
     for d_o, C in candidates:
-        tries = []
-        for sys in partition_systems(C, B, d_o):
+        systems = partition_systems(C, B, d_o)
+        if not systems:
+            continue
+        # |H_1| of the pullback along any of the systems (module docstring)
+        hbar = d_o * abs(base_slope.p) * prod(C.cone_orders) // prod(B.cone_orders)
+        if hbar % h_cover:
+            obstructions.add(H1_DIVISIBILITY)
+            continue
+        d_f = hbar // h_cover
+        if cov.kind == SFS and any(gcd(d_f, w) != 1 for w in C.cone_orders):
+            obstructions.add(GCD_CONDITION)
+            continue
+        for sys in reversed(systems):  # ascending partitions
             inter = pullback(base.invariants, sys)
-            hbar = h1_order(inter)
-            if hbar % h_cover:
-                obstructions.append(H1_DIVISIBILITY)
-                continue
-            tries.append((hbar // h_cover, sys, inter))
-        for d_f, sys, inter in sorted(tries, key=lambda t: (t[0], t[1].partitions)):
-            n_exc = len(inter.fibers)
             if cov.kind == LENS:
-                if n_exc > 2:
-                    continue  # a lens space never covers a 3-fiber SFS
                 dd = lens_covers(cov.lens, sfs_to_lens(inter))
                 if dd is None:
-                    obstructions.append(LENS_DIVISIBILITY)
+                    obstructions.add(LENS_DIVISIBILITY)
                     continue
                 assert dd == d_f
             else:
-                if n_exc <= 2:
-                    continue  # a 3-fiber SFS never covers a lens space
-                if any(gcd(d_f, a) != 1 for a, _ in inter.fibers):
-                    obstructions.append(GCD_CONDITION)
-                    continue
                 lifted = fiberwise_lift(inter, d_f)
                 if lifted is None or not sfs_equivalent(lifted, cov.invariants):
-                    obstructions.append(REALIZATION_FAILURE)
+                    obstructions.add(REALIZATION_FAILURE)
                     continue
             cert = CoverCertificate(
                 cover_slope,

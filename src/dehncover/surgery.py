@@ -21,7 +21,6 @@ from .core import (
     _modinv,
     h1_order,
     lens_equivalent,
-    normalize,
     sfs_equivalent,
     sfs_to_lens,
 )
@@ -122,42 +121,30 @@ def slope_candidates(K: TorusKnot, n: int, h1: int) -> list[Slope]:
 def find_surgery_slopes(
     K: TorusKnot,
     target: SeifertInvariants | LensSpace,
-    bound: int = 32,
 ) -> list[Slope]:
     """All slopes whose surgery on K gives the target manifold (up to
     orientation-reversing homeomorphism).
 
-    For an SFS target the search is finite: |p| is the order of H_1 and q is
-    pinned by rsq = p +- n.  For a lens target, slopes with 1 <= q <= bound
-    and |rsq - p| = 1 are scanned; an empty list means not realized within
-    the bound.
+    The search is finite: |p| is the order of H_1 and q is pinned by
+    rsq = p +- n, with n = 1 for a lens target (a presentation with <= 2
+    exceptional fibers is read as its lens space) and n the fiber order
+    besides r and s for an SFS target.
     """
-    r, s = K.r, K.s
-    if isinstance(target, SeifertInvariants):
-        M = normalize(target)
-        if len(M.fibers) <= 2:
-            return find_surgery_slopes(K, sfs_to_lens(M), bound)
-        if len(M.fibers) != 3:
+    if isinstance(target, SeifertInvariants) and len(target.fibers) <= 2:
+        target = sfs_to_lens(target)
+    if isinstance(target, LensSpace):
+        return [
+            slope for slope in slope_candidates(K, 1, target.p)
+            if lens_equivalent(classify_surgery(K, slope).lens, target)
+        ]
+    orders = [a for a, _ in target.fibers]
+    for v in (K.r, K.s):
+        if v not in orders:
             return []
-        orders = [a for a, _ in M.fibers]
-        for v in (r, s):
-            if v not in orders:
-                return []
-            orders.remove(v)
-        n = orders[0]
-        found = []
-        for slope in slope_candidates(K, n, h1_order(M)):
-            cl = classify_surgery(K, slope)
-            if cl.kind == SFS and sfs_equivalent(cl.invariants, M):
-                found.append(slope)
-        return found
-
-    found = []
-    for q in range(1, bound + 1):
-        for p in (r * s * q - 1, r * s * q + 1):
-            if abs(p) != target.p or gcd(p, q) != 1:
-                continue
-            cl = classify_surgery(K, Slope(p, q))
-            if cl.kind == LENS and lens_equivalent(cl.lens, target):
-                found.append(Slope(p, q))
-    return sorted(set(found))
+        orders.remove(v)
+    if len(orders) != 1:
+        return []
+    return [
+        slope for slope in slope_candidates(K, orders[0], h1_order(target))
+        if sfs_equivalent(classify_surgery(K, slope).invariants, target)
+    ]

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,13 @@ def test_realize_lens(capsys):
     code, out, _ = run(capsys, "realize", 2, 3, "L(5,1)")
     assert code == 0
     assert out == "5/1\n"
+
+
+def test_realize_lens_with_large_q(capsys):
+    # q = 33 is pinned by |p| = 197 and |6q - p| = 1, with no q bound to scan
+    code, out, _ = run(capsys, "realize", 2, 3, "L(197,100)")
+    assert code == 0
+    assert out == "197/33\n"
 
 
 def test_realize_bad_target(capsys):
@@ -337,3 +345,29 @@ def test_global_flag_reaches_config(monkeypatch, flag, first, second, field, pos
     for other in cli.GLOBAL_FLAGS.values():
         if other != field:
             assert getattr(cfg, other) == getattr(cli.Config, other)
+
+
+# --- the README's CLI block
+
+
+def test_readme_cli_lines_run(capsys):
+    # every `dehncover ...` line of the README CLI block that needs no census
+    # file exits 0, and the output it shows in `#` lines underneath is printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("dehncover "):
+            examples.append((shlex.split(line, comments=True)[1:], []))
+        elif line.startswith("#") and examples:
+            examples[-1][1].append(line.lstrip("#").strip().removeprefix("... "))
+    ran = 0
+    for argv, shown in examples:
+        if "census.txt" in argv:
+            continue
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        for text in shown:
+            assert text in out, (argv, text)
+        ran += 1
+    assert ran >= 9

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -15,12 +16,14 @@ from dehncover.core import (
     sfs_equivalent,
 )
 from dehncover.surgery import SFS, classify_surgery, surgery_seifert_invariants
-from dehncover.orbcover import chi_orb, partition_systems
+from dehncover.orbcover import chi_orb, classify_cover, partition_systems
 from dehncover.sfscover import (
     H1_DIVISIBILITY,
     LENS_DIVISIBILITY,
     RANK,
     REDUCIBILITY,
+    _EXCLUDED_KNOTS,
+    _lens_candidate_bases,
     decide_cover,
     decide_cover_directed,
     fiberwise_lift,
@@ -99,6 +102,31 @@ def test_pullback_euler_multiplicativity():
     for n in (1, 3, 4, 7):
         for sys in partition_systems(Orbifold2((2, 3, 6)), Orbifold2((2, 3, 6)), n):
             assert euler_number(pullback(M, sys)) == n * euler_number(M)
+    # every candidate (d, C) the decision tries for the SFS surgeries on the
+    # knots with exceptional orbifold covers: along each of its systems the
+    # pullback has fiber orders exactly C and |H_1| = d |p| prod(C) / prod(B),
+    # which decide_cover_directed checks once per candidate
+    checked = Counter()
+    for r, s in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
+        K = TorusKnot(r, s)
+        slopes = [Slope(p, q) for p in range(-12, 13) for q in (1, 2) if gcd(p, q) == 1]
+        sfs = [(sl, cl) for sl, cl in ((sl, classify_surgery(K, sl)) for sl in slopes) if cl.kind == SFS]
+        cover_bases = {cl.base_orbifold() for _, cl in sfs}
+        for slope, cl in sfs:
+            M, B = cl.invariants, cl.base_orbifold()
+            for C in cover_bases | set(_lens_candidate_bases(B)):
+                degs = classify_cover(C, B)
+                admitted = ([1] if 1 in degs else []) if chi_orb(B) == 0 else degs.finite
+                for d in admitted:
+                    for sys in partition_systems(C, B, d):
+                        P = pullback(M, sys)
+                        assert tuple(a for a, _ in P.fibers) == C.cone_orders
+                        assert h1_order(P) == Fraction(
+                            d * abs(slope.p) * prod(C.cone_orders), prod(B.cone_orders)
+                        )
+                        assert euler_number(P) == d * euler_number(M)
+                        checked[d > 1] += 1
+    assert checked[True] > 50 and checked[False] > 100, checked
 
 
 def test_pullback_mismatched_system():
@@ -193,7 +221,7 @@ def test_pullbacks_onto_equal_pair_bases_are_never_surgeries():
                     for sys in partition_systems(cover, M.base_orbifold(), 2 * s // d):
                         inter = pullback(M, sys)
                         assert len(inter.fibers) <= 2
-                        assert find_surgery_slopes(K, sfs_to_lens(inter), bound=48) == []
+                        assert find_surgery_slopes(K, sfs_to_lens(inter)) == []
 
 
 def test_composite_cover_through_unrealized_pullback():
@@ -209,7 +237,7 @@ def test_composite_cover_through_unrealized_pullback():
     from dehncover.core import sfs_to_lens
     from dehncover.surgery import find_surgery_slopes
 
-    assert find_surgery_slopes(K23, sfs_to_lens(cert.intermediate), bound=48) == []
+    assert find_surgery_slopes(K23, sfs_to_lens(cert.intermediate)) == []
 
 
 def test_pullback_lens_type_matches_covering_theory():
@@ -238,9 +266,10 @@ def test_pullback_lens_type_matches_covering_theory():
 def test_exceptional_knot_scan_frozen():
     # full directed-cover scan over |p| <= 36, q <= 4 on the knots carrying
     # exceptional orbifold covers; counts frozen from a verified run (each
-    # certificate checked for internal h1/euler consistency below)
-    from collections import Counter
-    from dehncover.surgery import classify_surgery
+    # certificate checked for internal h1/euler consistency below), and every
+    # decision with its certificate's partition system and pullback pinned by
+    # one digest taken in the scan order
+    import hashlib
 
     expected = {
         (2, 3): (123, {2: 7, 4: 6, 5: 9, 6: 1, 10: 8, 12: 8}),
@@ -250,6 +279,7 @@ def test_exceptional_knot_scan_frozen():
         (4, 5): (10, {}),
     }
     reasons = Counter()
+    digest = hashlib.sha256()
     for (r, s), (want_total, want_orb) in expected.items():
         K = TorusKnot(r, s)
         slopes = [
@@ -260,6 +290,12 @@ def test_exceptional_knot_scan_frozen():
         ]
         decisions = [decide_cover_directed(K, a, b) for a in slopes for b in slopes if a != b]
         reasons.update(dec.reason for dec in decisions)
+        for dec in decisions:
+            cert = dec.certificate
+            digest.update(repr((
+                dec.covers, dec.degree, dec.reason,
+                cert and cert.partition_system, cert and cert.intermediate,
+            )).encode())
         certs = [dec.certificate for dec in decisions if dec.covers]
         assert len(certs) == want_total, (r, s, len(certs))
         by_orb = Counter(c.orbifold_degree for c in certs if c.orbifold_degree > 1)
@@ -289,6 +325,7 @@ def test_exceptional_knot_scan_frozen():
         "realization-failure": 106,
         "gcd-condition": 81,
     }
+    assert digest.hexdigest()[:16] == "785e51891c318bd7"
 
 
 def test_orientation_reversing_cosmetic_pairs():
@@ -348,6 +385,27 @@ def test_fastpath_excluded_knots():
     for r, s in [(2, 3), (3, 4), (3, 5), (4, 5), (3, 7), (3, 8)]:
         with pytest.raises(ValueError):
             torus_main_fastpath(TorusKnot(r, s), Slope(1, 1), Slope(1, 1))
+
+
+def test_excluded_knots_are_read_off_the_tables():
+    # T(r,s) needs the general procedure exactly when some S^2(r,s,n) has
+    # chi > 0 (lens spaces may cover it) or the tables list a cover between
+    # two S^2(r,s,n)'s other than a degree-1 self-cover; N = 20 puts every
+    # sporadic row (orders <= 9) in range
+    N = 20
+    derived = set()
+    for r in range(3, 16):
+        for s in range(r + 1, 16):
+            if gcd(r, s) != 1:
+                continue
+            bases = [Orbifold2((r, s, n)) for n in range(2, N + 1)]
+            if any(chi_orb(B) > 0 for B in bases) or any(
+                classify_cover(C, B) and (C != B or classify_cover(C, B).finite != {1})
+                for C in bases
+                for B in bases
+            ):
+                derived.add((r, s))
+    assert derived == _EXCLUDED_KNOTS
 
 
 def test_fastpath_needs_fiber_congruence():

@@ -174,7 +174,12 @@ def test_find_surgery_slopes_lens_roundtrip():
                 if gcd(p, q) != 1:
                     continue
                 cl = classify_surgery(K, Slope(p, q))
-                assert Slope(p, q) in find_surgery_slopes(K, cl.lens, bound=8)
+                assert Slope(p, q) in find_surgery_slopes(K, cl.lens)
+
+
+def test_find_surgery_slopes_lens_q_is_pinned():
+    # |p| = 197 and |6q - p| = 1 force q = 33, however large
+    assert find_surgery_slopes(K23, LensSpace(197, 100)) == [Slope(197, 33)]
 
 
 def test_find_surgery_slopes_zero_surgery():
@@ -194,4 +199,4 @@ def test_lens_targets_with_equal_fiber_orders_are_never_realized():
                     if gcd(be, d) != 1:
                         continue
                     M = SeifertInvariants(b, ((d, be), (d, 1)))
-                    assert find_surgery_slopes(K, sfs_to_lens(M), bound=24) == []
+                    assert find_surgery_slopes(K, sfs_to_lens(M)) == []
