@@ -25,6 +25,7 @@ from .core import (
     parse_seifert,
 )
 from .hyperbolic import (
+    DegreeLimitError,
     audit_knot,
     enumerate_short_slopes,
     normalize_cusp,
@@ -305,8 +306,15 @@ def cmd_audit(args) -> int:
     if not records:
         print("error: no valid records", file=sys.stderr)
         return 2
-    reports = [audit_knot(rec, tol=args.cfg.volume_tolerance)
-               for rec in sorted(records, key=lambda r: r.name)]
+    reports = []
+    for rec in sorted(records, key=lambda r: r.name):
+        try:
+            reports.append(audit_knot(rec, tol=args.cfg.volume_tolerance))
+        except DegreeLimitError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
+    if not reports:
+        print("error: no record could be audited", file=sys.stderr)
+        return 2
     if args.cfg.output_format == "tsv":
         print("knot\tcover_slope\tbase_slope\tcandidate_degrees\tstatus\treason")
         for rep in reports:

@@ -22,10 +22,19 @@ x u + y v of length <= k has |y| <= k |u|, and in each such row x lies in
 an interval of width about 2k/|u|.  The work is about (k|u| + 1)(2k/|u| + 3)
 candidates however thin the cusp is, where walking the box of
 short_slope_box grows like 1/sqrt(Im(shape)).
+
+A filling g matches a candidate base f at degree n when vol(g) = n vol(f)
+within the tolerance (_volume_match), for the degrees n >= 2 with n vol(f)
+below the complement volume (_degree_bound).  The audit sorts a record's
+filling volumes once and bisects that list once per candidate degree, so
+the match costs one sort per record plus about (bases x degrees) bisects,
+not (bases x fillings) volume tests.  A base whose degree list would pass
+MAX_CANDIDATE_DEGREES makes the record fail with DegreeLimitError.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 
@@ -39,6 +48,19 @@ MAX_SHAPE_SKEW = 1e5  # largest accepted |Re(shape)| / |Im(shape)|, see normaliz
 # row bounds stays below about 1e-10 relative, so no slope that passes the
 # final length test can fall outside the region.
 CANDIDATE_SLACK = 1e-7
+# A base filling of volume v has the candidate degrees n with n v below the
+# complement volume (plus the tolerance).  Hyperbolic volumes are at least
+# 0.94, so a real record needs a complement volume near 10^3 to reach this
+# many; a mistyped tiny volume or a huge tolerance would list billions.
+MAX_CANDIDATE_DEGREES = 10**3
+# The bisect window of a volume match is n v +- tol widened by this relative
+# margin, far above the rounding of its ends; _volume_match decides every
+# filling inside it.
+MATCH_SLACK = 1e-9
+
+
+class DegreeLimitError(ValueError):
+    """A base volume admits more than MAX_CANDIDATE_DEGREES covering degrees."""
 
 
 def _check_length_bound(k: float) -> None:
@@ -192,24 +214,49 @@ def enumerate_short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[Slope, 
     return out
 
 
+def _volume_match(vol_cover: float, n: int, vol_base: float, tol: float) -> bool:
+    """The volume test of a degree-n cover: vol_cover = n * vol_base within tol."""
+    return abs(vol_cover - n * vol_base) <= tol
+
+
+def _degree_bound(vol_base: float, vol_complement: float, tol: float) -> int:
+    """The largest n with n * vol_base < vol_complement + tol: a degree-n
+    cover of a filling of volume vol_base has volume n * vol_base, which must
+    stay below the complement volume.  DegreeLimitError when (vol_complement
+    + tol) / vol_base passes MAX_CANDIDATE_DEGREES."""
+    cap = vol_complement + tol
+    estimate = cap / vol_base
+    if not estimate <= MAX_CANDIDATE_DEGREES:  # also catches an overflow to inf
+        raise DegreeLimitError(
+            f"filling volume {vol_base:g} admits about {estimate:.3g} covering degrees "
+            f"below the complement volume {vol_complement:g} (tolerance {tol:g}), "
+            f"more than the limit of {MAX_CANDIDATE_DEGREES:,}"
+        )
+    # n * vol_base is monotone in n, so the float quotient is off by at most one
+    n = math.ceil(estimate)
+    while n * vol_base >= cap:
+        n -= 1
+    while (n + 1) * vol_base < cap:
+        n += 1
+    return n
+
+
 def volume_cover_filter(
     vol_cover: float, vol_base: float, vol_complement: float, tol: float
 ) -> set[int]:
     """Covering degrees compatible with the given volumes: n >= 1 with
     vol_cover = n * vol_base (within tol) and n * vol_base below the
-    complement volume."""
+    complement volume.  Only the n within one of (vol_cover +- tol) /
+    vol_base are tested."""
     _check_tolerance(tol)
     if vol_base <= 0 or vol_cover <= 0:
         raise ValueError("volumes must be positive")
     if vol_base >= vol_complement or vol_cover >= vol_complement:
         raise ValueError("filled volume must be below the complement volume")
-    out = set()
-    n = 1
-    while n * vol_base < vol_complement + tol:
-        if abs(vol_cover - n * vol_base) <= tol:
-            out.add(n)
-        n += 1
-    return out
+    top = _degree_bound(vol_base, vol_complement, tol)
+    lo = max(1, math.floor((vol_cover - tol) / vol_base) - 1)
+    hi = min(top, math.ceil((vol_cover + tol) / vol_base) + 1)
+    return {n for n in range(lo, hi + 1) if _volume_match(vol_cover, n, vol_base, tol)}
 
 
 def degree2_h1_obstruction(p: int) -> bool:
@@ -244,7 +291,8 @@ class Filling:
 class CuspRecord:
     """One knot's ingested data.  The cusp shape must pass the rule of
     normalize_cusp (finite, not real, |Re| <= MAX_SHAPE_SKEW * |Im|), so a
-    degenerate shape is rejected when the record is built."""
+    degenerate shape is rejected when the record is built, and so is a slope
+    listed twice (one of its two volumes would be lost)."""
 
     name: str
     cusp_shape: complex
@@ -258,15 +306,17 @@ class CuspRecord:
             raise ValueError(f"{self.name}: {exc}") from None
         if self.volume_complement <= 0:
             raise ValueError(f"{self.name}: complement volume must be positive")
+        seen = set()
         for f in self.fillings:
             if f.volume is not None and not 0 < f.volume < self.volume_complement:
                 raise ValueError(
                     f"{self.name}: filling {f.slope} volume {f.volume} not in "
                     f"(0, {self.volume_complement})"
                 )
-
-    def filling_map(self):
-        return {f.slope: f for f in self.fillings}
+            key = (f.slope.p, f.slope.q)
+            if key in seen:
+                raise ValueError(f"{self.name}: slope {f.slope} is listed twice")
+            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -307,23 +357,33 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     filter and are attacked with the parity and rank obstructions, plus a
     concrete volume match against every other filling.  An empty survivor
     list verifies the no-cover conjecture for this record.
+
+    The filling volumes are sorted once; each candidate degree n then
+    bisects that list for the window around n * vol and tests only the
+    fillings inside it.  Survivor rows keep the order of rec.fillings, with
+    their degrees ascending.  DegreeLimitError, naming the record and the
+    base slope, when a base's degree bound passes MAX_CANDIDATE_DEGREES.
     """
     _check_tolerance(tol)
     cusp = normalize_cusp(rec.cusp_shape)
     cutoff = normalized_cutoff()
-    fmap = rec.filling_map()
+    fillings = rec.fillings
+    index = {(f.slope.p, f.slope.q): i for i, f in enumerate(fillings)}
+    by_volume = sorted((f.volume, i) for i, f in enumerate(fillings) if f.volume is not None)
+    volumes = [v for v, _i in by_volume]
     half = rec.volume_complement / 2.0
     rows = []
     for slope, _length in enumerate_short_slopes(cusp, cutoff):
         if slope.is_infinity:
             continue  # the trivial filling is not a surgery
-        f = fmap.get(slope)
-        if f is None:
+        i = index.get((slope.p, slope.q))
+        if i is None:
             rows.append(
                 AuditRow(rec.name, "*", str(slope), (), "unmeasured", "no filling data")
             )
             continue
-        if f.exceptional:
+        vol = fillings[i].volume
+        if vol is None:
             rows.append(
                 AuditRow(
                     rec.name, "*", str(slope), (), "exceptional",
@@ -331,47 +391,50 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
                 )
             )
             continue
-        if f.volume > half + tol:
+        if vol > half + tol:
             rows.append(
                 AuditRow(
                     rec.name, "*", str(slope), (), "eliminated",
-                    f"volume {f.volume:.7f} > complement/2 = {half:.7f} (tolerance-sensitive)",
+                    f"volume {vol:.7f} > complement/2 = {half:.7f} (tolerance-sensitive)",
                 )
             )
             continue
         # candidate covered base; a degree-n cover would be a surgery of
         # volume n * vol, still below the complement volume
-        degrees = set()
-        n = 2
-        while n * f.volume < rec.volume_complement + tol:
-            degrees.add(n)
-            n += 1
         reasons = []
         if slope.p == 0 and rank_obstruction(rank_cover=0, rank_base=1):
-            degrees.clear()
+            degrees = range(0)
             reasons.append("rank: 0-surgery is never covered by another surgery")
-        if 2 in degrees and degree2_h1_obstruction(abs(slope.p)):
-            degrees.discard(2)
-            reasons.append(f"no 2-fold covers: |H1| = {abs(slope.p)} is odd")
+        else:
+            try:
+                top = _degree_bound(vol, rec.volume_complement, tol)
+            except DegreeLimitError as exc:
+                raise DegreeLimitError(f"{rec.name}: base slope {slope}: {exc}") from None
+            degrees = range(2, top + 1)
+            if top >= 2 and degree2_h1_obstruction(abs(slope.p)):
+                degrees = range(3, top + 1)
+                reasons.append(f"no 2-fold covers: |H1| = {abs(slope.p)} is odd")
         # concrete cover candidates among the measured fillings
-        for g in rec.fillings:
-            if g.exceptional or g.slope == slope:
-                continue
-            matched = volume_cover_filter(
-                g.volume, f.volume, rec.volume_complement, tol
-            ) & degrees
-            if matched:
-                rows.append(
-                    AuditRow(
-                        rec.name, str(g.slope), str(slope),
-                        tuple(sorted(matched)), "survivor",
-                        "volume matches a covering degree; not eliminated",
-                    )
+        matched: dict[int, list[int]] = {}
+        for n in degrees:
+            centre = n * vol
+            pad = tol + MATCH_SLACK * (centre + tol)
+            lo = bisect_left(volumes, centre - pad)
+            for g_vol, j in by_volume[lo:bisect_right(volumes, centre + pad, lo)]:
+                if j != i and _volume_match(g_vol, n, vol, tol):
+                    matched.setdefault(j, []).append(n)
+        for j in sorted(matched):
+            rows.append(
+                AuditRow(
+                    rec.name, str(fillings[j].slope), str(slope),
+                    tuple(matched[j]), "survivor",
+                    "volume matches a covering degree; not eliminated",
                 )
+            )
         if degrees:
             rows.append(
                 AuditRow(
-                    rec.name, "*", str(slope), tuple(sorted(degrees)), "survivor",
+                    rec.name, "*", str(slope), tuple(degrees), "survivor",
                     "volume filter leaves candidate degrees; not eliminated",
                 )
             )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 from .core import Orbifold2, is_loeschian, is_two_square
 
@@ -85,10 +85,16 @@ def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
 # Partition condition
 
 
+def divisors(v: int) -> list[int]:
+    """The divisors of v >= 1, ascending, from the d <= sqrt(v) and v // d."""
+    small = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+    return small + [v // d for d in reversed(small) if d * d != v]
+
+
 @lru_cache(maxsize=None)
 def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n into parts dividing v, parts descending."""
-    divs = sorted((d for d in range(1, v + 1) if v % d == 0), reverse=True)
+    divs = divisors(v)[::-1]
     out = []
 
     def rec(remaining, maxpart, acc):
@@ -612,10 +618,10 @@ def _covers_by_degree(base: tuple[int, ...]) -> dict:
         return 2 * scale - sum(scale - scale // m for m in orders)
 
     cb = chi(base)
-    divisors = sorted({d for v in base for d in range(2, v + 1) if v % d == 0})
+    divs = sorted({d for v in base for d in divisors(v) if d > 1})
     out: dict = {}
     for k in range(4):
-        for cover in combinations_with_replacement(divisors, k):
+        for cover in combinations_with_replacement(divs, k):
             cc = chi(cover)
             if cb:
                 n, rem = divmod(cc, cb)

@@ -41,6 +41,7 @@ from .orbcover import (
     PermWitness,
     chi_orb,
     classify_cover,
+    divisors,
     partition_systems,
     perm_cover_oracle,
     riemann_hurwitz_degree,
@@ -180,7 +181,7 @@ def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     none when chi(B) <= 0."""
     if chi_orb(B) <= 0:
         return []
-    ds = {d for v in B.cone_orders for d in range(1, v + 1) if v % d == 0}
+    ds = {d for v in B.cone_orders for d in divisors(v)}
     return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
 
 

@@ -310,6 +310,37 @@ def test_tolerance_must_be_finite(tmp_path, value):
     assert "* -> 1/1\tdegrees [3,4]\tsurvivor" in proc.stdout
 
 
+def test_audit_warns_about_a_record_past_the_degree_limit(tmp_path, census_records):
+    from conftest import census_text
+
+    # 5/1 has volume 1e-9, so about 2e9 degrees fit under the complement
+    # volume: the degree loop ran past `timeout 20`
+    path = tmp_path / "census.txt"
+    path.write_text("m004 0.0 3.4641016151377544 2.0298832128193 5 1 1e-9 -5 1 0.9813688288922 1 0 EXC\n"
+                    + census_text(census_records[:1]).splitlines()[1] + "\n")
+    proc = _run_cli("audit", str(path), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: m004: base slope 5/1: filling volume 1e-09 admits about 2.03e+09 "
+                           "covering degrees below the complement volume 2.02988 (tolerance 0.0001), "
+                           "more than the limit of 1,000\n")
+    assert proc.stdout.startswith("4_1\tverified")
+    path.write_text("m004 0.0 3.4641016151377544 2.0298832128193 5 1 1e-9 -5 1 0.9813688288922 1 0 EXC\n")
+    proc = _run_cli("audit", str(path), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: no record could be audited\n")
+
+
+def test_audit_with_a_huge_tolerance_ends(census_file):
+    # every degree below (complement volume + 1e7) / volume was walked
+    proc = _run_cli("--tolerance", "1e7", "audit", census_file, timeout=10)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert [line.split(":")[:2] for line in lines[:-1]] == [
+        ["warning", " 4_1"], ["warning", " 6_1"], ["warning", " synthetic"]]
+    assert lines[-1] == "error: no record could be audited"
+    assert proc.stdout == ""
+
+
 def test_output_deterministic(capsys, census_file):
     runs = []
     for _ in range(2):

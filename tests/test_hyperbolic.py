@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from dehncover.core import Slope
 from dehncover.hyperbolic import (
     LENGTH_TOL,
+    MAX_CANDIDATE_DEGREES,
+    AuditRow,
     CuspRecord,
+    DegreeLimitError,
     Filling,
     audit_knot,
     degree2_h1_obstruction,
@@ -284,6 +288,173 @@ def test_audit_survivor_when_parity_fails():
     assert any(r.status == "survivor" and r.base_slope == "6/1" and 2 in r.degrees for r in rep.rows)
 
 
+def reference_audit_rows(rec, tol):
+    """The audit's rows as they were computed before the bisect: every
+    (short slope, filling) pair is tested, walking n = 1, 2, ... per pair."""
+    def walk(vol_cover, vol_base):
+        out, n = set(), 1
+        while n * vol_base < rec.volume_complement + tol:
+            if abs(vol_cover - n * vol_base) <= tol:
+                out.add(n)
+            n += 1
+        return out
+
+    fmap = {f.slope: f for f in rec.fillings}
+    half = rec.volume_complement / 2.0
+    rows = []
+    for slope, _length in enumerate_short_slopes(normalize_cusp(rec.cusp_shape), normalized_cutoff()):
+        if slope.is_infinity:
+            continue
+        f = fmap.get(slope)
+        if f is None:
+            rows.append(AuditRow(rec.name, "*", str(slope), (), "unmeasured", "no filling data"))
+            continue
+        if f.exceptional:
+            rows.append(AuditRow(rec.name, "*", str(slope), (), "exceptional",
+                                 "non-hyperbolic filling: deferred to the Seifert/toroidal analysis"))
+            continue
+        if f.volume > half + tol:
+            rows.append(AuditRow(rec.name, "*", str(slope), (), "eliminated",
+                                 f"volume {f.volume:.7f} > complement/2 = {half:.7f} (tolerance-sensitive)"))
+            continue
+        degrees = set()
+        n = 2
+        while n * f.volume < rec.volume_complement + tol:
+            degrees.add(n)
+            n += 1
+        reasons = []
+        if slope.p == 0:
+            degrees.clear()
+            reasons.append("rank: 0-surgery is never covered by another surgery")
+        if 2 in degrees and abs(slope.p) % 2 == 1:
+            degrees.discard(2)
+            reasons.append(f"no 2-fold covers: |H1| = {abs(slope.p)} is odd")
+        for g in rec.fillings:
+            if g.exceptional or g.slope == slope:
+                continue
+            matched = walk(g.volume, f.volume) & degrees
+            if matched:
+                rows.append(AuditRow(rec.name, str(g.slope), str(slope), tuple(sorted(matched)),
+                                     "survivor", "volume matches a covering degree; not eliminated"))
+        if degrees:
+            rows.append(AuditRow(rec.name, "*", str(slope), tuple(sorted(degrees)), "survivor",
+                                 "volume filter leaves candidate degrees; not eliminated"))
+        else:
+            rows.append(AuditRow(rec.name, "*", str(slope), (), "eliminated",
+                                 "; ".join(reasons) if reasons else "no degree passes the volume filter"))
+    return tuple(rows)
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def audit_cases(draw):
+    """A record over the short slopes of one of three cusps (with 0/1 and odd
+    and even |p| among them) plus three long slopes, and a tolerance.  Each
+    slope is missing, exceptional, a candidate base volume, or a volume at
+    n * base + (-tol, 0 or tol) moved by -1, 0 or 1 ulp; volumes repeat."""
+    shape = draw(st.sampled_from((complex(0.0, 2.0 * math.sqrt(3.0)), complex(0.5, 4.0), complex(-1.0, 3.0))))
+    # a tolerance of 0.5 lets a base match itself at degree 2, which the
+    # audit must skip
+    tol = draw(st.sampled_from((0.0, 1e-4, 1e-2, 0.5)))
+    vol_c = draw(st.floats(2.0, 6.0))
+    bases = draw(st.lists(st.floats(0.05, 0.5).map(lambda r: r * vol_c), min_size=1, max_size=3))
+    slopes = [s for s, _ in enumerate_short_slopes(normalize_cusp(shape), normalized_cutoff())
+              if not s.is_infinity] + [Slope(97, 1), Slope(98, 1), Slope(-99, 2)]
+    fillings = []
+    for slope in slopes:
+        kind = draw(st.sampled_from(("missing", "exc", "base", "match", "match", "match")))
+        if kind == "missing":
+            continue
+        if kind == "exc":
+            fillings.append(Filling(slope, None))
+            continue
+        volume = draw(st.sampled_from(bases))
+        if kind == "match":
+            n = draw(st.integers(1, 6))
+            offset = draw(st.sampled_from((-tol, 0.0, tol)))
+            volume = _ulps(n * volume + offset, draw(st.integers(-1, 1)))
+        if 0 < volume < vol_c:
+            fillings.append(Filling(slope, volume))
+    return CuspRecord("r", shape, vol_c, tuple(draw(st.permutations(fillings)))), tol
+
+
+@given(audit_cases())
+def test_audit_matches_all_pairs_reference(case):
+    rec, tol = case
+    assert audit_knot(rec, tol).rows == reference_audit_rows(rec, tol)
+
+
+@given(
+    vol_base=st.floats(0.01, 3.0),
+    n=st.integers(1, 40),
+    offset=st.sampled_from((-1.0, 0.0, 1.0)),
+    ulps=st.integers(-1, 1),
+    tol=st.sampled_from((0.0, 1e-4, 1e-2, 0.5)),
+)
+def test_volume_cover_filter_matches_the_walk(vol_base, n, offset, ulps, tol):
+    vol_complement = 5.0
+    vol_cover = _ulps(n * vol_base + offset * tol, ulps)
+    if not (vol_base < vol_complement and 0 < vol_cover < vol_complement):
+        return
+    walk, k = set(), 1
+    while k * vol_base < vol_complement + tol:
+        if abs(vol_cover - k * vol_base) <= tol:
+            walk.add(k)
+        k += 1
+    assert volume_cover_filter(vol_cover, vol_base, vol_complement, tol) == walk
+
+
+def seeded_census(records, seed, copies):
+    """Copies of the fixture records with some fillings dropped, made
+    exceptional, or given a volume near a multiple of a small filling's."""
+    rng = random.Random(seed)
+    out = []
+    for rec in records:
+        for c in range(copies):
+            small = [rng.uniform(0.1, 0.45) * rec.volume_complement for _ in range(3)]
+            fillings = []
+            for f in rec.fillings:
+                roll = rng.random()
+                if roll < 0.1:
+                    continue
+                if roll < 0.2:
+                    fillings.append(Filling(f.slope, None))
+                elif roll < 0.4:
+                    fillings.append(Filling(f.slope, rng.choice(small)))
+                elif roll < 0.7:
+                    volume = rng.randint(2, 5) * rng.choice(small) + rng.choice((0.0, 5e-5, -3e-3, 2e-2))
+                    fillings.append(Filling(f.slope, volume if 0 < volume < rec.volume_complement else None))
+                else:
+                    fillings.append(f)
+            out.append(CuspRecord(f"{rec.name}_{c}", rec.cusp_shape, rec.volume_complement, tuple(fillings)))
+    return out
+
+
+def test_audit_reports_are_pinned(census_records):
+    # the digest is that of the all-pairs audit the bisect replaced
+    h = hashlib.sha256()
+    for tol in (0.0, 1e-4, 1e-2):
+        for rec in seeded_census(census_records, 7, 20):
+            h.update(repr(audit_knot(rec, tol)).encode())
+    assert h.hexdigest()[:16] == "0e40cd20260734fd"
+
+
+def test_degree_limit_names_the_record_and_slope():
+    rec = CuspRecord("m004", complex(0.0, 2.0 * math.sqrt(3.0)), 2.0298832128193,
+                     (Filling(Slope(5, 1), 1e-9), Filling(Slope(-5, 1), 0.9813688288922)))
+    with pytest.raises(DegreeLimitError, match=r"^m004: base slope 5/1: .*limit of 1,000"):
+        audit_knot(rec)
+    limit_volume = 2.0 / MAX_CANDIDATE_DEGREES
+    with pytest.raises(DegreeLimitError):
+        volume_cover_filter(0.5, limit_volume / 2, 2.0, 1e-4)
+    assert volume_cover_filter(2 * limit_volume, limit_volume, 2.0, 0.0) == {2}
+
+
 # --- census ingestion
 
 
@@ -300,6 +471,12 @@ def test_parse_census_line():
         parse_census_line("x 0.0 1.0 2.0 5 1 9.0")  # filling volume above complement
     with pytest.raises(ValueError, match="y: degenerate cusp shape"):
         parse_census_line("y 0.3 1e-300 2.0 5 1 0.9")  # too skewed for float lengths
+    # one slope with two volumes, here 5/1 (which hid its degree-2 match
+    # under -5/1) and -5/1 written as 5 -1
+    with pytest.raises(ValueError, match="d: slope 5/1 is listed twice"):
+        parse_census_line("d 0.0 3.46 2.03 5 1 0.9813688 5 1 1.9627376 -5 1 1.9627376")
+    with pytest.raises(ValueError, match="e: slope -5/1 is listed twice"):
+        parse_census_line("e 0.0 3.46 2.03 -5 1 0.9813688 5 -1 1.9627376")
 
 
 def test_read_census_collects_errors(tmp_path, census_records):
