@@ -87,7 +87,7 @@ def _fmt_orders(orders) -> str:
 
 def _classification_text(cl) -> str:
     if cl.kind == SFS:
-        return f"SFS {cl.invariants.base_orbifold()} {cl.invariants}"
+        return f"SFS {cl.base_orbifold()} {cl.invariants}"
     if cl.kind == LENS:
         return str(cl.lens)
     (r, s), (s2, r2) = cl.summands

@@ -292,7 +292,8 @@ class CuspRecord:
     """One knot's ingested data.  The cusp shape must pass the rule of
     normalize_cusp (finite, not real, |Re| <= MAX_SHAPE_SKEW * |Im|), so a
     degenerate shape is rejected when the record is built, and so is a slope
-    listed twice (one of its two volumes would be lost)."""
+    listed twice (one of its two volumes would be lost) and a volume on 1/0
+    (that filling is S^3, never hyperbolic)."""
 
     name: str
     cusp_shape: complex
@@ -308,12 +309,15 @@ class CuspRecord:
             raise ValueError(f"{self.name}: complement volume must be positive")
         seen = set()
         for f in self.fillings:
-            if f.volume is not None and not 0 < f.volume < self.volume_complement:
-                raise ValueError(
-                    f"{self.name}: filling {f.slope} volume {f.volume} not in "
-                    f"(0, {self.volume_complement})"
-                )
             key = (f.slope.p, f.slope.q)
+            if f.volume is not None:
+                if key == (1, 0):
+                    raise ValueError(f"{self.name}: slope 1/0 gives S^3, which has no volume")
+                if not 0 < f.volume < self.volume_complement:
+                    raise ValueError(
+                        f"{self.name}: filling {f.slope} volume {f.volume} not in "
+                        f"(0, {self.volume_complement})"
+                    )
             if key in seen:
                 raise ValueError(f"{self.name}: slope {f.slope} is listed twice")
             seen.add(key)

@@ -72,13 +72,14 @@ def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
 
     Returns that degree when chi(base) != 0 and it is a positive integer,
     UNCONSTRAINED when both characteristics are zero, and None otherwise (no
-    cover can exist).
+    cover can exist).  The ratio is taken with one divmod of the cached
+    characteristics' numerators and denominators, building no Fraction.
     """
     cc, cb = chi_orb(cover), chi_orb(base)
-    if cb == 0:
-        return UNCONSTRAINED if cc == 0 else None
-    n = cc / cb
-    return n.numerator if n.denominator == 1 and n > 0 else None
+    if not cb:
+        return None if cc else UNCONSTRAINED
+    n, rem = divmod(cc.numerator * cb.denominator, cc.denominator * cb.numerator)
+    return n if not rem and n > 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ multiplies by d going up.  A pullback along C -> B also has exactly C's cone
 orders as its fiber orders, so its |H_1| = d |H_1(base)| prod(C) / prod(B),
 and with it the fiberwise degree, is fixed by the candidate (d, C) and checked
 once for all of its partition systems.
+
+The base orbifolds B and C come stored on the cached classifications
+(classify_surgery builds each once), and Riemann-Hurwitz rules out most
+pairs in integer arithmetic before any table is read.
 """
 from __future__ import annotations
 
@@ -185,6 +189,45 @@ def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
 
 
+def _chi_zero_degree(h_cover: int, h_base: int) -> int:
+    """The one orbifold degree that decides a cover over a chi = 0 base.
+
+    Only S^2(2,3,6) is such a surgery base (T(2,3) with n = 6), and an SFS
+    cover of it fibers over S^2(2,3,6) too.
+
+    Lemma.  Let m = h_cover / gcd(h_cover, h_base) and m2 the product of the
+    primes = 2 (mod 3) that divide m to an odd power.  The surgery with
+    |H_1| = h_cover covers the one with |H_1| = h_base iff it does at
+    orbifold degree m * m2, which is then the least such degree.
+
+    Proof.  The orbifold degree d_o is Loeschian, so its primes = 2 (mod 3)
+    have even exponents, and the pullback's |H_1| = d_o * h_base must be a
+    multiple of h_cover, so m | d_o.  Hence d_o = m * m2 * j with j
+    Loeschian.  The fiberwise degree d_f = j * m2 * h_base / gcd(h_cover,
+    h_base) must be prime to 6, so j is too, and as a Loeschian number is
+    never 2 (mod 3), j = 1 (mod 6).  Placing the cover orders 2, 3, 6
+    at the base points gives four partition systems, one for each degree
+    class 1, 3, 4, 0 (mod 6), each valid at every positive degree of its
+    class.  So every such j picks the system that j = 1 picks, with the same
+    exceptional fibers in the pullback; the lift then depends only on d_f
+    (mod 6), which is that of j = 1, since its euler number d_o e(B) / d_f
+    is the same for every j.
+    """
+    m = h_cover // gcd(h_cover, h_base)
+    m2, rest, f = 1, m, 2
+    while f * f <= rest:
+        e = 0
+        while rest % f == 0:
+            rest //= f
+            e += 1
+        if e % 2 and f % 3 == 2:
+            m2 *= f
+        f += 1
+    if rest % 3 == 2:
+        m2 *= rest
+    return m * m2
+
+
 @lru_cache(maxsize=1 << 20)
 def decide_cover_directed(
     K: TorusKnot, cover_slope: Slope, base_slope: Slope, budget: int = 12
@@ -238,13 +281,14 @@ def decide_cover_directed(
         C_list = [C]
     else:
         C_list = _lens_candidate_bases(B)
-    # chi(B) = 0: unbounded self-cover family, of which only the trivial
-    # orbifold part is searched (total degree is otherwise forced past the
-    # H_1 bound)
     chi_zero = chi_orb(B) == 0
     for C in C_list:
         degs = classify_cover(C, B)
-        admitted = ([1] if 1 in degs else []) if chi_zero else sorted(degs.finite)
+        if chi_zero:  # one degree decides (see _chi_zero_degree)
+            d = _chi_zero_degree(h_cover, abs(base_slope.p))
+            admitted = [d] if d in degs else []
+        else:
+            admitted = sorted(degs.finite)
         candidates.extend((d, C) for d in admitted)
     candidates.sort(key=lambda t: (t[0], t[1].cone_orders))
 

@@ -4,11 +4,12 @@ invariants, and the search for slopes realizing a given target manifold.
 
 With n = |rsq - p|: the surgery is a connected sum of two lens spaces when
 n = 0, a lens space L(p, q s^2) when n = 1, and otherwise a Seifert fibered
-space over S^2(r, s, n).
+space over S^2(r, s, n).  classify_surgery is cached, and builds that base
+orbifold once per surgery, with the classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -36,7 +37,9 @@ class SurgeryClassification:
 
     kind is "sfs" (n > 1, invariants set), "lens" (n = 1, lens set) or
     "reducible" (n = 0, summands set to the raw (p, q) parameters of the two
-    lens summands L(r,s) # L(s,r)).
+    lens summands L(r,s) # L(s,r)).  An SFS surgery's base orbifold
+    S^2(r, s, n) is built once, when classify_surgery builds the
+    classification, and base_orbifold returns that object.
     """
 
     kind: str
@@ -44,11 +47,16 @@ class SurgeryClassification:
     invariants: SeifertInvariants | None = None
     lens: LensSpace | None = None
     summands: tuple[tuple[int, int], tuple[int, int]] | None = None
+    orbifold: Orbifold2 | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == SFS:
+            object.__setattr__(self, "orbifold", self.invariants.base_orbifold())
 
     def base_orbifold(self) -> Orbifold2:
         if self.kind != SFS:
             raise ValueError("only SFS surgeries have a canonical base orbifold")
-        return self.invariants.base_orbifold()
+        return self.orbifold
 
 
 @lru_cache(maxsize=1 << 18)

@@ -67,6 +67,14 @@ def test_cover_example_composite(capsys):
     assert any("intermediate: {9;(3,1),(3,2)}" in line for line in lines)
 
 
+def test_cover_over_a_chi_zero_base(capsys):
+    # 48/7 covers 12/1 on T(2,3) through a degree-4 self-cover of S^2(2,3,6)
+    code, out, _ = run(capsys, "cover", 2, 3, 48, 7, 12, 1)
+    assert code == 0
+    assert out.splitlines()[0] == "COVERS degree 4 (fiberwise 1 × orbifold 4)"
+    assert "partitions: base S2(2,3,6) degree 4: [2+2 | 3+1 | 3+1]" in out
+
+
 def test_cover_no_mismatch(capsys):
     # |rsq - p| differs in both pairs; the reason printed is the obstruction
     # the procedure computed

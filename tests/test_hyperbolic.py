@@ -477,6 +477,13 @@ def test_parse_census_line():
         parse_census_line("d 0.0 3.46 2.03 5 1 0.9813688 5 1 1.9627376 -5 1 1.9627376")
     with pytest.raises(ValueError, match="e: slope -5/1 is listed twice"):
         parse_census_line("e 0.0 3.46 2.03 -5 1 0.9813688 5 -1 1.9627376")
+    # 1/0 fills to S^3, which is never hyperbolic: no volume may sit there
+    # (it used to survive the audit as a degree-2 cover of 6/1)
+    with pytest.raises(ValueError, match="inf: slope 1/0 gives S"):
+        parse_census_line("inf 0.0 3.4641016151377544 2.0298832128193 6 1 0.9813688 1 0 1.9627376")
+    with pytest.raises(ValueError, match="slope 1/0"):
+        parse_census_line("neg 0.0 3.46 2.03 -1 0 1.5")
+    assert parse_census_line("exc 0.0 3.46 2.03 1 0 EXC").fillings[0].exceptional
 
 
 def test_read_census_collects_errors(tmp_path, census_records):

@@ -52,6 +52,36 @@ def test_riemann_hurwitz():
         assert not classify_cover(C, B)
 
 
+def test_riemann_hurwitz_matches_the_fraction_definition():
+    # covers with <= 3 orders in 2..12 over bases with <= 3 orders in 2..8,
+    # S^2 on both sides, against chi(C)/chi(B) taken as a Fraction: chi of
+    # both signs and 0, and non-integer ratios
+    def chi(orders):
+        return 2 - sum((1 - Fraction(1, m) for m in orders), Fraction(0))
+
+    covers = [c for k in range(4) for c in combinations_with_replacement(range(2, 13), k)]
+    bases = [b for k in range(4) for b in combinations_with_replacement(range(2, 9), k)]
+    chis = {o: chi(o) for o in covers + bases}
+    seen = Counter()
+    for b in bases:
+        cb = chis[b]
+        sign = (cb > 0) - (cb < 0)
+        for c in covers:
+            cc = chis[c]
+            if cb == 0:
+                want, kind = (UNCONSTRAINED, "both zero") if cc == 0 else (None, "base zero")
+            elif (cc / cb).denominator == 1 and cc / cb > 0:
+                want, kind = (cc / cb).numerator, "degree"
+            else:
+                want, kind = None, "fraction" if cc / cb > 0 else "not positive"
+            assert riemann_hurwitz_degree(S2(c), S2(b)) == want, (c, b)
+            seen[sign, kind] += 1
+    assert len(covers) * len(bases) == 43_680
+    assert set(seen) == {
+        (sign, kind) for sign in (1, -1) for kind in ("degree", "fraction", "not positive")
+    } | {(0, "base zero"), (0, "both zero")}, seen
+
+
 # --- partition systems
 
 

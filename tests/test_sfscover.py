@@ -11,6 +11,7 @@ from dehncover.core import (
     TorusKnot,
     euler_number,
     h1_order,
+    is_loeschian,
     normalize,
     parse_seifert,
     sfs_equivalent,
@@ -23,6 +24,7 @@ from dehncover.sfscover import (
     RANK,
     REDUCIBILITY,
     _EXCLUDED_KNOTS,
+    _chi_zero_degree,
     _lens_candidate_bases,
     decide_cover,
     decide_cover_directed,
@@ -116,7 +118,11 @@ def test_pullback_euler_multiplicativity():
             M, B = cl.invariants, cl.base_orbifold()
             for C in cover_bases | set(_lens_candidate_bases(B)):
                 degs = classify_cover(C, B)
-                admitted = ([1] if 1 in degs else []) if chi_orb(B) == 0 else degs.finite
+                if chi_orb(B) == 0:  # one degree per cover slope
+                    admitted = {_chi_zero_degree(abs(c.p), abs(slope.p)) for c, _ in sfs if c.p}
+                    admitted = [d for d in admitted if d in degs]
+                else:
+                    admitted = degs.finite
                 for d in admitted:
                     for sys in partition_systems(C, B, d):
                         P = pullback(M, sys)
@@ -326,6 +332,55 @@ def test_exceptional_knot_scan_frozen():
         "gcd-condition": 81,
     }
     assert digest.hexdigest()[:16] == "785e51891c318bd7"
+
+
+def test_chi_zero_base_matches_a_degree_brute_force():
+    # T(2,3) with n = 6 fibers over S^2(2,3,6), chi = 0, whose self-covers
+    # have every Loeschian degree.  The decision tries the one degree of
+    # _chi_zero_degree; the brute force tries every Loeschian d_o <= 400,
+    # ascending, with d_f forced by |H_1|, prime to the cone orders
+    B = Orbifold2((2, 3, 6))
+    slopes = [
+        Slope(p, q)
+        for q in range(1, 13)
+        for p in (6 * q - 6, 6 * q + 6)
+        if p and gcd(p, q) == 1
+    ]
+    loeschian = [d for d in range(1, 401) if is_loeschian(d)]
+    covers = []
+    for a in slopes:
+        M = classify_surgery(K23, a).invariants
+        for b in slopes:
+            if a == b:
+                continue
+            want = None
+            for d_o in loeschian:
+                hbar = d_o * abs(b.p)
+                d_f = hbar // abs(a.p)
+                if hbar % abs(a.p) or gcd(d_f, 6) != 1:
+                    continue
+                base = classify_surgery(K23, b).invariants
+                if any(
+                    (lifted := fiberwise_lift(pullback(base, sys), d_f)) is not None
+                    and sfs_equivalent(lifted, M)
+                    for sys in partition_systems(B, B, d_o)
+                ):
+                    want = (d_o * d_f, d_o)
+                    break
+            dec = decide_cover_directed(K23, a, b)
+            got = (dec.degree, dec.certificate.orbifold_degree) if dec.covers else None
+            assert got == want, (a, b)
+            if want:
+                covers.append((a, b))
+    assert (len(slopes), len(covers)) == (7, 7)
+    # 48/7 = {0;(2,1),(3,2),(6,1)} is the pullback of 12/1 =
+    # {-1;(2,1),(3,2),(6,1)} along a degree-4 self-cover of S^2(2,3,6)
+    dec = decide_cover_directed(K23, Slope(48, 7), Slope(12, 1))
+    cert = dec.certificate
+    assert (cert.total_degree, cert.fiberwise_degree, cert.orbifold_degree) == (4, 1, 4)
+    assert cert.partition_system.partitions == ((2, 2), (3, 1), (3, 1))
+    assert cert.intermediate == parse_seifert("{0;(2,1),(3,2),(6,1)}")
+    assert cert.perm_witness.cover_orders() == (2, 3, 6)
 
 
 def test_orientation_reversing_cosmetic_pairs():

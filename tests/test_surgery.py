@@ -60,6 +60,28 @@ def test_classify_t25_example():
     assert h1_order(cl.invariants) == 2
 
 
+def test_base_orbifold_is_built_with_the_classification():
+    # every SFS surgery of the exceptional-scan box keeps the base orbifold
+    # its invariants present, built once; other kinds have none
+    count = 0
+    for r, s in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5)):
+        K = TorusKnot(r, s)
+        for p in range(-36, 37):
+            for q in range(1, 5):
+                if gcd(p, q) != 1:
+                    continue
+                cl = classify_surgery(K, Slope(p, q))
+                if cl.kind != SFS:
+                    with pytest.raises(ValueError):
+                        cl.base_orbifold()
+                    continue
+                assert cl.base_orbifold() == cl.invariants.base_orbifold()
+                assert cl.base_orbifold().cone_orders == tuple(sorted((r, s, cl.n)))
+                assert cl.base_orbifold() is cl.base_orbifold()
+                count += 1
+    assert count == 935
+
+
 def test_classify_rejects_infinity():
     with pytest.raises(ValueError):
         classify_surgery(K23, Slope(1, 0))
