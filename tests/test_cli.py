@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dehncover import cli
 from dehncover.cli import main
+from dehncover.hyperbolic import enumerate_short_slopes, normalize_cusp, normalized_cutoff
 
 
 def run(capsys, *argv):
@@ -347,6 +350,78 @@ def test_audit_with_a_huge_tolerance_ends(census_file):
         ["warning", " 4_1"], ["warning", " 6_1"], ["warning", " synthetic"]]
     assert lines[-1] == "error: no record could be audited"
     assert proc.stdout == ""
+
+
+# The tsv audit of the census test_audit_tsv_golden writes, taken before the
+# audit moved to integer slope pairs; it must not change byte for byte.
+GOLDEN_AUDIT_SHA256 = "7f385f8d51ee1edf0b458a5e2f863ff42d43fea375871d4d501cf4d9fe994941"
+GOLDEN_STATUS = {
+    ("4_1", "exceptional"): 9, ("4_1", "eliminated"): 18,
+    ("6_1", "exceptional"): 5, ("6_1", "eliminated"): 22,
+    ("planted", "eliminated"): 24, ("planted", "exceptional"): 2,
+    ("planted", "survivor"): 4, ("planted", "unmeasured"): 1,
+    ("skewed", "survivor"): 2, ("skewed", "eliminated"): 28,
+    ("synthetic", "eliminated"): 31,
+    ("thin", "exceptional"): 1, ("thin", "survivor"): 1, ("thin", "eliminated"): 28,
+}
+GOLDEN_SURVIVORS = [
+    ["planted", "*", "-2/1", "2"],
+    ["planted", "13/1", "2/1", "2"],
+    ["planted", "17/1", "2/1", "3"],
+    ["planted", "*", "2/1", "2,3"],
+    ["skewed", "-999/1", "-1000/1", "2"],
+    ["skewed", "*", "-1000/1", "2,3"],
+    ["thin", "*", "-1/3", "3"],
+]
+
+
+def _census_line(name, shape, vol_complement, exceptional=(), special=None, filler=2.0,
+                 drop=(), extra=None):
+    """A census line over the short slopes of shape: the slopes in exceptional
+    are EXC, those in special (and the longer slopes in extra) carry the given
+    volumes, those in drop are left out, and the rest get filler plus a
+    slope-dependent wiggle under 0.1."""
+    special = special or {}
+    toks = [name, repr(shape.real), repr(shape.imag), repr(vol_complement)]
+    for slope, _ in enumerate_short_slopes(normalize_cusp(shape), normalized_cutoff()):
+        key = (slope.p, slope.q)
+        if slope.is_infinity or key in drop:
+            continue
+        if key in exceptional:
+            vol = "EXC"
+        else:
+            vol = repr(special.get(key, filler + 0.001 * ((7 * slope.p + 3 * slope.q) % 97)))
+        toks += [str(slope.p), str(slope.q), vol]
+    for (p, q), vol in (extra or {}).items():
+        toks += [str(p), str(q), vol if isinstance(vol, str) else repr(vol)]
+    return " ".join(toks)
+
+
+def test_audit_tsv_golden(capsys, tmp_path, census_records):
+    from conftest import census_text
+
+    # the conftest records, a thin and a skewed cusp, and a record with
+    # planted volume matches: 2/1 (0.9) is covered at degree 2 by 13/1 (1.8)
+    # and at degree 3 by 17/1 (2.7); 3/1 (1.2) loses its only degree 2 to
+    # parity although 19/1 (2.4) matches it; 0/1 falls to rank; -6/1 is
+    # unmeasured
+    lines = census_text(census_records).splitlines()
+    lines.append(_census_line(
+        "planted", complex(0.2, 1.5), 3.0, exceptional={(1, 1), (-1, 1)},
+        special={(0, 1): 0.7, (2, 1): 0.9, (3, 1): 1.2, (-2, 1): 1.45}, filler=1.6,
+        drop={(-6, 1)}, extra={(1, 0): "EXC", (13, 1): 1.8, (17, 1): 2.7, (19, 1): 2.4}))
+    lines.append(_census_line("thin", complex(0.3, 1e-3), 8.0, exceptional={(-3, 10)},
+                              special={(-1, 3): 2.5}, filler=4.1))
+    lines.append(_census_line("skewed", complex(1e3, 0.05), 4.0,
+                              special={(-1000, 1): 1.3, (-999, 1): 2.6}, filler=2.1))
+    path = tmp_path / "census.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "--format", "tsv", "audit", str(path))
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert Counter((row[0], row[4]) for row in rows) == GOLDEN_STATUS
+    assert [row[:4] for row in rows if row[4] == "survivor"] == GOLDEN_SURVIVORS
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_AUDIT_SHA256
 
 
 def test_output_deterministic(capsys, census_file):
