@@ -229,6 +229,17 @@ def test_audit_non_finite_numbers_warn(capsys, tmp_path, census_records):
     assert out.startswith("4_1\tverified")
 
 
+def test_audit_skips_a_line_that_is_not_utf8(capsys, tmp_path):
+    # the undecodable second line sank the whole file with exit 1
+    path = tmp_path / "census.txt"
+    path.write_bytes(b"a 0.0 3.46 2.03 5 1 0.98\n\xff\xfe bad\n")
+    code, out, err = run(capsys, "--format", "tsv", "audit", str(path))
+    assert code == 0
+    assert err == ("warning: line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+    assert out.splitlines()[1].startswith("a\t*\t")
+
+
 def _cli_env():
     """The environment for running the CLI in a subprocess from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])

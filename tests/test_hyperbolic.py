@@ -494,3 +494,50 @@ def test_read_census_collects_errors(tmp_path, census_records):
     records, errors = read_census(str(path))
     assert len(records) == len(census_records)
     assert len(errors) == 1
+
+
+def test_read_census_shares_one_slope_per_pair(tmp_path):
+    path = tmp_path / "census.txt"
+    path.write_text("a 0.0 3.46 2.03 5 1 0.98 0 1 EXC\n"
+                    "b 0.1 3.0 2.5 5 1 1.1 5 -1 1.2\n"
+                    "c 0.0 3.46 2.03 3 1 0.9 10 2 1.0\n"
+                    "d 0.2 2.0 2.5 -5 1 1.3\n"
+                    "e 0.0 3.46 2.03 10 2 1.0\n")
+    records, errors = read_census(str(path))
+    a, b, d = records
+    # both records that list 5 1 hold the same Slope object
+    assert a.fillings[0].slope is b.fillings[0].slope == Slope(5, 1)
+    # 5 -1 and a later -5 1 are built from different pairs but are equal
+    assert b.fillings[1].slope == d.fillings[0].slope == Slope(-5, 1)
+    # an unreduced pair is a line error on every line that lists it, after
+    # the earlier lines filled the table with other slopes
+    assert errors == ["line 3: slope 10/2 is not reduced", "line 5: slope 10/2 is not reduced"]
+
+
+def test_read_census_still_rejects_a_slope_listed_twice(tmp_path):
+    path = tmp_path / "census.txt"
+    path.write_text("a 0.0 3.46 2.03 5 -1 0.98\n"
+                    "b 0.0 3.46 2.03 5 -1 0.98 -5 1 1.2\n")
+    records, errors = read_census(str(path))
+    assert [rec.name for rec in records] == ["a"]
+    assert errors == ["line 2: b: slope -5/1 is listed twice"]
+
+
+def test_read_census_skips_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "census.txt"
+    path.write_bytes(b"a 0.0 3.46 2.03 5 1 0.98\n\xff\xfe bad\n"
+                     + "bé 0.0 3.46 2.03 5 1 0.98  # café\n".encode())
+    records, errors = read_census(str(path))
+    assert [rec.name for rec in records] == ["a", "bé"]
+    assert errors == ["line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"]
+
+
+def test_read_census_line_endings(tmp_path):
+    # a lone \r ends a line, as in text mode, and \r\n is one line end
+    path = tmp_path / "census.txt"
+    path.write_bytes(b"a 0.0 3.46 2.03 5 1 0.98\rb 0.0 3.46 2.03 5 1 0.98\r\r"
+                     b"c 1 2\r\nd 0.0 3.46 2.03 5 1 0.98\n\ne")
+    records, errors = read_census(str(path))
+    assert [rec.name for rec in records] == ["a", "b", "d"]
+    assert [err.split(":")[0] for err in errors] == ["line 4", "line 7"]
