@@ -310,20 +310,29 @@ def lens_covers(cover: LensSpace, base: LensSpace) -> int | None:
 
 
 def is_loeschian(n: int) -> bool:
-    """True iff n = x^2 + xy + y^2 with integers x, y not both zero."""
+    """True iff n = x^2 + xy + y^2 with integers x, y not both zero.
+
+    Some such pair has 0 <= x <= sqrt(n).  For each such x, y solves
+    y^2 + xy + x^2 - n = 0, so y = (-x + s) / 2 with s^2 = 4n - 3x^2; s^2 and
+    x^2 agree mod 4, so s has the parity of x, and y is an integer exactly
+    when 4n - 3x^2 is a square.
+    """
     if n < 1:
         raise ValueError("is_loeschian needs n >= 1")
-    r = isqrt(n)
-    return any(
-        x * x + x * y + y * y == n
-        for x in range(r + 1)
-        for y in range(r + 1)
-    )
+    for x in range(isqrt(n) + 1):
+        disc = 4 * n - 3 * x * x
+        if isqrt(disc) ** 2 == disc:
+            return True
+    return False
 
 
 def is_two_square(n: int) -> bool:
-    """True iff n = x^2 + y^2 with integers x, y not both zero."""
+    """True iff n = x^2 + y^2 with integers x, y not both zero: for each
+    x <= sqrt(n), y = sqrt(n - x^2) must be an integer."""
     if n < 1:
         raise ValueError("is_two_square needs n >= 1")
-    r = isqrt(n)
-    return any(x * x + y * y == n for x in range(r + 1) for y in range(r + 1))
+    for x in range(isqrt(n) + 1):
+        y = isqrt(n - x * x)
+        if y * y == n - x * x:
+            return True
+    return False

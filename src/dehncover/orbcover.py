@@ -9,10 +9,13 @@ Four tools live here:
     at a base point whose order it divides (at most 27 placements, whatever
     the degree), and are listed in descending order of their partitions,
   * a permutation oracle that certifies exactly which branched covers of S^2
-    orbifolds exist at a given degree by finding monodromy triples: for each
-    triple of cycle types it pins the first permutation and builds the second
-    point by point, cutting a branch as soon as the second or the product
-    closes a cycle, or grows a path, that the types rule out, and
+    orbifolds exist at a given degree by finding monodromy triples: it walks
+    only the genus-0 triples of cycle types, and for each multiset of types
+    it pins the first permutation and builds the second point by point,
+    cutting a branch as soon as the second or the product closes a cycle, or
+    grows a path, that the types rule out.  The answer, a triple or None,
+    is cached per degree and multiset, so bases that share a typeset share
+    one search, and
   * the closed-form classification tables, split by the sign of the orbifold
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
@@ -44,21 +47,9 @@ class BudgetExceededError(RuntimeError):
         self.bound = bound
 
 
-class Unconstrained:
-    """Marker: both orbifolds have chi = 0, so chi forces no degree."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNCONSTRAINED"
-
-
-UNCONSTRAINED = Unconstrained()
+# Marker: both orbifolds have chi = 0, so chi forces no degree.  Callers
+# test it with `is`.
+UNCONSTRAINED = "UNCONSTRAINED"
 
 
 @lru_cache(maxsize=None)
@@ -300,10 +291,20 @@ def _open_paths(n: int, ctype: tuple[int, ...]):
     return list(range(n)), list(range(n)), [1] * n, need, sorted(set(ctype), reverse=True)
 
 
-def _witness_for_types(n: int, base3, types) -> PermWitness | None:
-    """Search for a transitive triple with the given cycle types.
+# Bounds the entries of the triple cache below.  A `verify-tables 9` run fills
+# 390 of them; an entry holds three permutations of the degree, about 0.5 KB
+# at degree <= 12, so the full cache stays under 1 MB there.
+_TRIPLE_CACHE_SIZE = 1024
 
-    The triple is rotated so that its largest conjugacy class comes first (a
+
+@lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
+def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
+    """A transitive triple with product the identity whose cycle types are
+    types, in that order, or None when there is none.  Callers pass the
+    types sorted (see _witness_for_types), so each multiset is searched
+    once and its answer, None included, is cached.
+
+    The types are rotated so that the largest conjugacy class comes first (a
     rotation keeps the product the identity), and that permutation a is
     pinned to its canonical representative: every solution conjugates onto
     it.  The next one, b, is built point by point, trying every unused image
@@ -382,7 +383,30 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
         return None
     b = tuple(b)
     triple = (a, b, perm_inverse(perm_mul(a, b)))
-    return PermWitness(n, tuple(base3), triple[-k:] + triple[:-k])
+    return triple[-k:] + triple[:-k]
+
+
+def _witness_for_types(n: int, base3, types) -> PermWitness | None:
+    """A witness over the padded base orders base3 whose permutations have
+    the given cycle types, in that order, or None when no transitive triple
+    has them.
+
+    Rotating a triple, or reversing it and inverting each permutation, keeps
+    the product the identity, and together these moves reach every order of
+    the three types.  So the search runs once per multiset, on the sorted
+    types, in _triple_for_types, and its triple is moved to the asked order;
+    the move is read off the type tuples.
+    """
+    types = tuple(types)
+    key = tuple(sorted(types))
+    triple = _triple_for_types(n, key)
+    if triple is None:
+        return None
+    if types not in (key, key[1:] + key[:1], key[2:] + key[:2]):
+        key = key[::-1]
+        triple = tuple(perm_inverse(s) for s in reversed(triple))
+    r = next(r for r in range(3) if key[r:] + key[:r] == types)
+    return PermWitness(n, tuple(base3), triple[r:] + triple[:r])
 
 
 def perm_cover_oracle(
@@ -396,32 +420,35 @@ def perm_cover_oracle(
     them out).  Only genus-0 covers are reported: a transitive triple has
     total cycle count n + 2 exactly when the covering surface is S^2.
 
-    Each triple of cycle types (one divisor partition of n per base point)
-    goes to the search in _witness_for_types, except a typeset whose cover
-    orders, which the types alone determine, already have a witness, and a
-    typeset whose sorted types have already failed: rotating the three
-    permutations, or reversing them and inverting each, keeps the product the
-    identity, so whether a triple exists depends only on that multiset.
+    The typesets (one divisor partition of n per base point) are walked in
+    product order, visiting only those with n + 2 cycles: the third point's
+    partitions are indexed by length.  A typeset whose cover orders, which
+    the parts alone determine, already have a witness is skipped; the rest
+    go to _witness_for_types, which searches each multiset of types once and
+    caches the answer, so a multiset that failed, here or for another base,
+    is not searched again.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n > budget:
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
+    va, vb, vc = base3
+    third: dict[int, list] = {}
+    for tc in divisor_partitions(n, vc):
+        third.setdefault(len(tc), []).append((tc, [vc // k for k in tc if k < vc]))
     found: dict[tuple[int, ...], PermWitness] = {}
-    failed = set()
-    for types in product(*(divisor_partitions(n, v) for v in base3)):
-        if sum(len(t) for t in types) != n + 2:
-            continue
-        orders = PartitionSystem(n, base3, types).branch_orders()
-        key = tuple(sorted(types))
-        if orders in found or key in failed:
-            continue
-        witness = _witness_for_types(n, base3, types)
-        if witness is None:
-            failed.add(key)
-        else:
-            found[orders] = witness
+    for ta in divisor_partitions(n, va):
+        orders_a = [va // k for k in ta if k < va]
+        for tb in divisor_partitions(n, vb):
+            orders_ab = orders_a + [vb // k for k in tb if k < vb]
+            for tc, orders_c in third.get(n + 2 - len(ta) - len(tb), ()):
+                orders = tuple(sorted(orders_ab + orders_c))
+                if orders in found:
+                    continue
+                witness = _witness_for_types(n, base3, (ta, tb, tc))
+                if witness is not None:
+                    found[orders] = witness
     return [(Orbifold2(orders), w) for orders, w in sorted(found.items())]
 
 

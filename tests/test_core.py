@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -238,6 +238,16 @@ def test_quadratic_form_examples():
     assert is_two_square(1) and is_two_square(2)
     with pytest.raises(ValueError):
         is_loeschian(0)
+
+
+def test_quadratic_forms_match_the_double_loop():
+    # the O(sqrt n) tests solve for y; the reference tries every pair
+    # 0 <= x, y <= sqrt(n), as the tests did before
+    for n in range(1, 3001):
+        r = isqrt(n)
+        pairs = [(x, y) for x in range(r + 1) for y in range(r + 1)]
+        assert is_loeschian(n) == any(x * x + x * y + y * y == n for x, y in pairs), n
+        assert is_two_square(n) == any(x * x + y * y == n for x, y in pairs), n
 
 
 def test_loeschian_multiplicative_closure():

@@ -11,6 +11,7 @@ from dehncover.orbcover import (
     BudgetExceededError,
     PartitionSystem,
     PermWitness,
+    _triple_for_types,
     _witness_for_types,
     canonical_perm,
     chi_orb,
@@ -263,6 +264,20 @@ def test_witness_search_matches_reference():
             oracle = {orb.cone_orders for orb, _ in perm_cover_oracle(S2(base3), n)}
             assert oracle == expected, (base3, n)
     assert (checked, found) == (1581, 1418)
+
+
+def test_triple_cache_serves_every_order_and_base_from_one_search():
+    # three distinct types: a rotation of the sorted triple reaches three
+    # orders, and reversing it with each permutation inverted the other three
+    types = ((4,), (2, 2), (2, 1, 1))
+    _triple_for_types.cache_clear()
+    for base3 in ((4, 4, 4), (4, 8, 12)):
+        for order in permutations(types):
+            witness = _witness_for_types(4, base3, order)
+            assert witness.partition_system().partitions == order
+            assert witness.base_orders == base3
+    info = _triple_for_types.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
 
 
 def test_oracle_checks_the_fourth_summary_omitted_row():
