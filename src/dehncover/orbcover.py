@@ -291,13 +291,10 @@ def _open_paths(n: int, ctype: tuple[int, ...]):
     return list(range(n)), list(range(n)), [1] * n, need, sorted(set(ctype), reverse=True)
 
 
-# Bounds the entries of the triple cache below.  A `verify-tables 9` run fills
-# 390 of them; an entry holds three permutations of the degree, about 0.5 KB
-# at degree <= 12, so the full cache stays under 1 MB there.
-_TRIPLE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
+# A `verify-tables 9` run fills 390 entries; an entry holds three
+# permutations of the degree, about 0.5 KB at degree <= 12, so the full
+# cache stays under 1 MB there.
+@lru_cache(maxsize=1024)
 def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
     """A transitive triple with product the identity whose cycle types are
     types, in that order, or None when there is none.  Callers pass the
@@ -397,7 +394,6 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
     types, in _triple_for_types, and its triple is moved to the asked order;
     the move is read off the type tuples.
     """
-    types = tuple(types)
     key = tuple(sorted(types))
     triple = _triple_for_types(n, key)
     if triple is None:
