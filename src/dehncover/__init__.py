@@ -16,7 +16,6 @@ from .core import (
     is_loeschian,
     is_two_square,
     lens_covers,
-    lens_equivalent,
     mirror,
     normalize,
     parse_seifert,

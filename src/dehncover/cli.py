@@ -40,7 +40,7 @@ from .orbcover import (
     table_covers,
     verify_pair,
 )
-from .sfscover import decide_cover
+from .sfscover import decide_cover_directed
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,26 @@ def _fmt_partitions(sys) -> str:
     return f"base S2{_fmt_orders(sys.base_orders)} degree {sys.degree}: [" + " | ".join(cols) + "]"
 
 
+_REASON_TEXT = {
+    "reducibility": "reducibility",
+    "chi-mismatch": "orbifold characteristic mismatch",
+    "no-orbifold-cover": "no orbifold cover",
+    "h1-divisibility": "H1 divisibility",
+    "gcd-condition": "gcd condition",
+    "lens-divisibility": "lens divisibility",
+    "realization-failure": "realization failure",
+    "rank": "rank obstruction",
+}
+
+
 def cmd_cover(args) -> int:
     K = TorusKnot(args.r, args.s)
     a, b = Slope(args.p, args.q), Slope(args.p2, args.q2)
-    dec = decide_cover(K, a, b, budget=args.cfg.oracle_degree_budget)
+    budget = args.cfg.oracle_degree_budget
+    # a -> b first, then b -> a, as decide_cover does; both are kept so
+    # that a NO names each direction's obstruction
+    forward = decide_cover_directed(K, a, b, budget)
+    dec = forward if forward.covers else decide_cover_directed(K, b, a, budget)
     if dec.covers:
         cert = dec.certificate
         print(
@@ -140,17 +156,11 @@ def cmd_cover(args) -> int:
         if cert.partition_system is not None and cert.orbifold_degree > 1:
             print(f"  partitions: {_fmt_partitions(cert.partition_system)}")
         return 0
-    text = {
-        "reducibility": "reducibility",
-        "chi-mismatch": "orbifold characteristic mismatch",
-        "no-orbifold-cover": "no orbifold cover",
-        "h1-divisibility": "H1 divisibility",
-        "gcd-condition": "gcd condition",
-        "lens-divisibility": "lens divisibility",
-        "realization-failure": "realization failure",
-        "rank": "rank obstruction",
-    }.get(dec.reason, dec.reason or "no cover")
-    print(f"NO ({text})")
+    reasons = "; ".join(
+        f"{x} → {y}: {_REASON_TEXT.get(d.reason, d.reason or 'no cover')}"
+        for x, y, d in ((a, b, forward), (b, a, dec))
+    )
+    print(f"NO ({reasons})")
     return 0
 
 

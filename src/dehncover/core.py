@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 
 class LensRegimeError(ValueError):
@@ -176,6 +177,19 @@ class Orbifold2:
                 raise ValueError(f"cone order {v} < 1")
         object.__setattr__(self, "cone_orders", orders)
 
+    @cached_property
+    def chi(self) -> tuple[int, int]:
+        """The orbifold Euler characteristic 2 - sum (1 - 1/m) over the cone
+        points, as a reduced integer pair (numerator, denominator > 0).
+
+        Computed on first read and kept on the instance, outside the
+        dataclass fields, so equality, hashing and repr do not see it.
+        """
+        den = lcm(*self.cone_orders)
+        num = (2 - len(self.cone_orders)) * den + sum(den // m for m in self.cone_orders)
+        g = gcd(num, den)
+        return num // g, den // g
+
     def padded(self, k: int = 3) -> tuple[int, ...]:
         """Orders padded with 1s up to length k (requires <= k cone points)."""
         if len(self.cone_orders) > k:
@@ -224,7 +238,7 @@ def sfs_equivalent(M1: SeifertInvariants, M2: SeifertInvariants) -> bool:
     fibered spaces with >= 3 exceptional fibers.
 
     Lens-space presentations (<= 2 exceptional fibers) must be compared via
-    sfs_to_lens / lens_equivalent instead.
+    sfs_to_lens and lens space equality instead.
     """
     if len(M1.fibers) <= 2 or len(M2.fibers) <= 2:
         raise LensRegimeError(
@@ -281,14 +295,6 @@ def sfs_to_lens(M: SeifertInvariants) -> LensSpace:
     return _lens_from_filling_slopes((-a2, b2), (a1, b1 + M.b * a1))
 
 
-def lens_equivalent(L1: LensSpace, L2: LensSpace) -> bool:
-    """True iff p1 = p2 and q2 = +-q1^{+-1} mod p (unoriented classification).
-
-    Constructors store canonical representatives, so this is equality.
-    """
-    return L1 == L2
-
-
 def lens_covers(cover: LensSpace, base: LensSpace) -> int | None:
     """Degree of the covering cover -> base between lens spaces, or None.
 
@@ -300,7 +306,7 @@ def lens_covers(cover: LensSpace, base: LensSpace) -> int | None:
     if base.p % cover.p != 0:
         return None
     d = base.p // cover.p
-    if not lens_equivalent(cover, LensSpace(base.p // d, base.q)):
+    if cover != LensSpace(base.p // d, base.q):
         return None
     return d
 

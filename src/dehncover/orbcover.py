@@ -32,7 +32,7 @@ the decisions use against an independent search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -52,10 +52,10 @@ class BudgetExceededError(RuntimeError):
 UNCONSTRAINED = "UNCONSTRAINED"
 
 
-@lru_cache(maxsize=None)
 def chi_orb(orb: Orbifold2) -> Fraction:
-    """Orbifold Euler characteristic 2 - sum (1 - 1/m) over cone points."""
-    return Fraction(2) - sum((1 - Fraction(1, m) for m in orb.cone_orders), Fraction(0))
+    """Orbifold Euler characteristic 2 - sum (1 - 1/m) over cone points, as
+    a Fraction built from the integer pair Orbifold2.chi."""
+    return Fraction(*orb.chi)
 
 
 def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
@@ -63,13 +63,15 @@ def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
 
     Returns that degree when chi(base) != 0 and it is a positive integer,
     UNCONSTRAINED when both characteristics are zero, and None otherwise (no
-    cover can exist).  The ratio is taken with one divmod of the cached
-    characteristics' numerators and denominators, building no Fraction.
+    cover can exist).  The ratio is taken with one divmod of the integer
+    numerators and denominators each orbifold keeps in Orbifold2.chi,
+    building no Fraction.
     """
-    cc, cb = chi_orb(cover), chi_orb(base)
-    if not cb:
-        return None if cc else UNCONSTRAINED
-    n, rem = divmod(cc.numerator * cb.denominator, cc.denominator * cb.numerator)
+    cn, cd = cover.chi
+    bn, bd = base.chi
+    if not bn:
+        return None if cn else UNCONSTRAINED
+    n, rem = divmod(cn * bd, cd * bn)
     return n if not rem and n > 0 else None
 
 
@@ -243,26 +245,32 @@ class PermWitness:
     The three permutations are aligned with the padded base orders; their
     product (applied left to right) is the identity, the cycle lengths of
     each divide the matching base order, and together they act transitively.
+    Every witness is checked when built.  cycle_types holds the cycle type
+    of each permutation, taken once by that check; it is derived from perms,
+    so equality, hashing and repr leave it out.
     """
 
     degree: int
     base_orders: tuple[int, int, int]
     perms: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    cycle_types: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sa, sb, sc = self.perms
         if perm_mul(perm_mul(sa, sb), sc) != tuple(range(self.degree)):
             raise ValueError("monodromy product is not the identity")
-        for v, s in zip(self.base_orders, self.perms):
-            if any(v % length for length in cycle_type(s)):
+        types = tuple(cycle_type(s) for s in self.perms)
+        for v, ctype in zip(self.base_orders, types):
+            if any(v % length for length in ctype):
                 raise ValueError("cycle length does not divide the base cone order")
         if not perms_transitive(self.perms, self.degree):
             raise ValueError("monodromy group is not transitive")
+        object.__setattr__(self, "cycle_types", types)
 
     def cover_orders(self) -> tuple[int, ...]:
         out = []
-        for v, s in zip(self.base_orders, self.perms):
-            out.extend(v // length for length in cycle_type(s) if v // length > 1)
+        for v, ctype in zip(self.base_orders, self.cycle_types):
+            out.extend(v // length for length in ctype if v // length > 1)
         return tuple(sorted(out))
 
     def cover_orbifold(self) -> Orbifold2:
@@ -272,7 +280,7 @@ class PermWitness:
         return PartitionSystem(
             self.degree,
             self.base_orders,
-            tuple(cycle_type(s) for s in self.perms),
+            self.cycle_types,
         )
 
 
@@ -600,7 +608,7 @@ def _classify_orders(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet
         return _zero_degrees(cover, base)
     if n is None:
         return _EMPTY
-    is_row = _is_neg_row if chi_orb(B) < 0 else _is_pos_row
+    is_row = _is_neg_row if B.chi[0] < 0 else _is_pos_row
     if cover == base or is_row(cover, base, n):
         return DegreeSet(frozenset({n}))
     return _EMPTY

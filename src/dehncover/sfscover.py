@@ -17,9 +17,13 @@ orders as its fiber orders, so its |H_1| = d |H_1(base)| prod(C) / prod(B),
 and with it the fiberwise degree, is fixed by the candidate (d, C) and checked
 once for all of its partition systems.
 
-The base orbifolds B and C come stored on the cached classifications
-(classify_surgery builds each once), and Riemann-Hurwitz rules out most
-pairs in integer arithmetic before any table is read.
+Most pairs end at Riemann-Hurwitz.  The base orbifolds B and C come stored
+on the cached classifications (classify_surgery builds each once), each
+orbifold keeps its Euler characteristic as a reduced integer pair
+(Orbifold2.chi, computed on first read), and the degree test is one divmod
+of those integers, before any table is read.  Every negative decision whose
+detail does not depend on the pair is one shared module-level constant, so
+a pair ruled out early builds no object.
 """
 from __future__ import annotations
 
@@ -43,7 +47,6 @@ from .surgery import LENS, REDUCIBLE, SFS, classify_surgery, surgery_seifert_inv
 from .orbcover import (
     PartitionSystem,
     PermWitness,
-    chi_orb,
     classify_cover,
     divisors,
     partition_systems,
@@ -183,7 +186,7 @@ def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     """Base orbifolds a lens space can fiber over while covering B: S^2 and
     S^2(d,d) with d dividing an order of B.  They have chi > 0, so there are
     none when chi(B) <= 0."""
-    if chi_orb(B) <= 0:
+    if B.chi[0] <= 0:
         return []
     ds = {d for v in B.cone_orders for d in divisors(v)}
     return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
@@ -228,6 +231,40 @@ def _chi_zero_degree(h_cover: int, h_base: int) -> int:
     return m * m2
 
 
+# The negative decisions whose detail is fixed, shared by every pair that
+# ends in them.  CoverDecision is frozen, so sharing one is safe.
+_NO_REDUCIBLE = CoverDecision(
+    False, reason=REDUCIBILITY,
+    detail="the unique reducible surgery only covers / is covered by itself",
+)
+_NO_RANK = CoverDecision(
+    False, reason=RANK,
+    detail="0-surgery (first betti number 1) is never covered by another surgery",
+)
+_NO_INFINITE_H1 = CoverDecision(
+    False, reason=H1_DIVISIBILITY,
+    detail="a surgery with infinite H_1 cannot cover one with finite H_1",
+)
+_NO_LENS_BASE = CoverDecision(
+    False, reason=NO_ORBIFOLD_COVER,
+    detail="covers of lens spaces are lens spaces",
+)
+_NO_CHI_MISMATCH = CoverDecision(
+    False, reason=CHI_MISMATCH,
+    detail="orbifold Euler characteristics admit no integer degree",
+)
+_NO_CANDIDATES = CoverDecision(
+    False, reason=NO_ORBIFOLD_COVER,
+    detail="no admissible cover between the base orbifolds",
+)
+# When every candidate fails, the obstruction from the deepest stage.
+_NO_DEEPEST = tuple(
+    (reason, CoverDecision(False, reason=reason))
+    for reason in (REALIZATION_FAILURE, GCD_CONDITION, LENS_DIVISIBILITY, H1_DIVISIBILITY)
+)
+_NO_COVER = CoverDecision(False, reason=NO_ORBIFOLD_COVER)
+
+
 @lru_cache(maxsize=1 << 20)
 def decide_cover_directed(
     K: TorusKnot, cover_slope: Slope, base_slope: Slope, budget: int = 12
@@ -239,20 +276,11 @@ def decide_cover_directed(
         cert = CoverCertificate(cover_slope, base_slope, 1, 1, 1)
         return CoverDecision(True, cert, detail="identical surgeries")
     if cov.kind == REDUCIBLE or base.kind == REDUCIBLE:
-        return CoverDecision(
-            False, reason=REDUCIBILITY,
-            detail="the unique reducible surgery only covers / is covered by itself",
-        )
+        return _NO_REDUCIBLE
     if base_slope.p == 0:
-        return CoverDecision(
-            False, reason=RANK,
-            detail="0-surgery (first betti number 1) is never covered by another surgery",
-        )
+        return _NO_RANK
     if cover_slope.p == 0:
-        return CoverDecision(
-            False, reason=H1_DIVISIBILITY,
-            detail="a surgery with infinite H_1 cannot cover one with finite H_1",
-        )
+        return _NO_INFINITE_H1
     if cov.kind == LENS and base.kind == LENS:
         d = lens_covers(cov.lens, base.lens)
         if d is None:
@@ -263,25 +291,19 @@ def decide_cover_directed(
         cert = CoverCertificate(cover_slope, base_slope, d, d, 1)
         return CoverDecision(True, cert, detail="lens space cover")
     if base.kind == LENS:
-        return CoverDecision(
-            False, reason=NO_ORBIFOLD_COVER,
-            detail="covers of lens spaces are lens spaces",
-        )
+        return _NO_LENS_BASE
 
-    B = base.base_orbifold()
-    h_cover = abs(cover_slope.p)
-    candidates: list[tuple[int, Orbifold2]] = []
+    B = base.orbifold
     if cov.kind == SFS:
-        C = cov.base_orbifold()
+        C = cov.orbifold
         if riemann_hurwitz_degree(C, B) is None:
-            return CoverDecision(
-                False, reason=CHI_MISMATCH,
-                detail="orbifold Euler characteristics admit no integer degree",
-            )
+            return _NO_CHI_MISMATCH
         C_list = [C]
     else:
         C_list = _lens_candidate_bases(B)
-    chi_zero = chi_orb(B) == 0
+    h_cover = abs(cover_slope.p)
+    candidates: list[tuple[int, Orbifold2]] = []
+    chi_zero = not B.chi[0]
     for C in C_list:
         degs = classify_cover(C, B)
         if chi_zero:  # one degree decides (see _chi_zero_degree)
@@ -334,15 +356,12 @@ def decide_cover_directed(
             return CoverDecision(True, cert)
 
     if not candidates:
-        return CoverDecision(
-            False, reason=NO_ORBIFOLD_COVER,
-            detail="no admissible cover between the base orbifolds",
-        )
+        return _NO_CANDIDATES
     # all candidates failed; report the obstruction from the deepest stage
-    for reason in (REALIZATION_FAILURE, GCD_CONDITION, LENS_DIVISIBILITY, H1_DIVISIBILITY):
+    for reason, decision in _NO_DEEPEST:
         if reason in obstructions:
-            return CoverDecision(False, reason=reason)
-    return CoverDecision(False, reason=NO_ORBIFOLD_COVER)
+            return decision
+    return _NO_COVER
 
 
 def decide_cover(K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12) -> CoverDecision:

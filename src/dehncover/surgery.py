@@ -21,7 +21,6 @@ from .core import (
     TorusKnot,
     _modinv,
     h1_order,
-    lens_equivalent,
     sfs_equivalent,
     sfs_to_lens,
 )
@@ -143,7 +142,7 @@ def find_surgery_slopes(
     if isinstance(target, LensSpace):
         return [
             slope for slope in slope_candidates(K, 1, target.p)
-            if lens_equivalent(classify_surgery(K, slope).lens, target)
+            if classify_surgery(K, slope).lens == target
         ]
     orders = [a for a, _ in target.fibers]
     for v in (K.r, K.s):

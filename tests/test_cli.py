@@ -79,20 +79,20 @@ def test_cover_over_a_chi_zero_base(capsys):
 
 
 def test_cover_no_mismatch(capsys):
-    # |rsq - p| differs in both pairs; the reason printed is the obstruction
-    # the procedure computed
+    # |rsq - p| differs in both pairs; the reasons printed are the
+    # obstructions the procedure computed, one per direction
     code, out, _ = run(capsys, "cover", 5, 7, 36, 1, 37, 1)
     assert code == 0
-    assert out == "NO (no orbifold cover)\n"
+    assert out == "NO (36/1 → 37/1: no orbifold cover; 37/1 → 36/1: no orbifold cover)\n"
     code, out, _ = run(capsys, "cover", 2, 3, 7, 1, 2, 1)
     assert code == 0
-    assert out == "NO (H1 divisibility)\n"
+    assert out == "NO (7/1 → 2/1: H1 divisibility; 2/1 → 7/1: no orbifold cover)\n"
 
 
 def test_cover_reducible_reason(capsys):
     code, out, _ = run(capsys, "cover", 2, 3, 7, 2, 6, 1)
     assert code == 0
-    assert out == "NO (reducibility)\n"
+    assert out == "NO (7/2 → 6/1: reducibility; 6/1 → 7/2: reducibility)\n"
 
 
 # --- orb-covers / verify-tables
@@ -315,7 +315,8 @@ def test_cover_lens_against_a_huge_hyperbolic_base_ends_fast():
     # S^2(2,3,10^9): the lens candidates walked every divisor of 10^9
     proc = _run_cli("cover", "2", "3", "5", "1", "-999999994", "1", timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "NO (no orbifold cover)\n"
+    assert proc.stdout == ("NO (5/1 → -999999994/1: no orbifold cover; "
+                           "-999999994/1 → 5/1: no orbifold cover)\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

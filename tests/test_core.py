@@ -16,7 +16,6 @@ from dehncover.core import (
     is_loeschian,
     is_two_square,
     lens_covers,
-    lens_equivalent,
     mirror,
     normalize,
     parse_seifert,
@@ -194,10 +193,13 @@ def test_sfs_to_lens_respects_h1():
 
 
 def test_lens_equivalent_examples():
-    assert lens_equivalent(LensSpace(5, 4), LensSpace(5, 1))
-    assert not lens_equivalent(LensSpace(7, 1), LensSpace(7, 2))
+    # LensSpace stores the canonical q, so equivalent presentations compare
+    # equal: 3 = -2^-1 mod 7 and 4 = -1 mod 5
+    assert LensSpace(7, 2) == LensSpace(7, 3)
+    assert LensSpace(5, 4) == LensSpace(5, 1)
+    assert LensSpace(7, 1) != LensSpace(7, 2)
     L = LensSpace(13, 5)
-    assert lens_equivalent(L, L)
+    assert L == L
 
 
 def test_lens_equivalence_relation_and_classification():

@@ -1,7 +1,9 @@
 import time
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import gcd
 
 import pytest
 
@@ -41,6 +43,27 @@ def test_chi_examples():
     assert chi_orb(S2((2, 3, 7))) == Fraction(-1, 42)
     assert chi_orb(S2((3, 3, 3))) == 0
     assert chi_orb(S2(())) == 2
+
+
+def test_stored_chi_is_the_reduced_characteristic():
+    # 0-4 cone points of orders <= 12 (order 1 is dropped), against
+    # 2 - sum (1 - 1/m) taken as a Fraction
+    for k in range(5):
+        for orders in combinations_with_replacement(range(1, 13), k):
+            want = 2 - sum((1 - Fraction(1, m) for m in orders), Fraction(0))
+            num, den = S2(orders).chi
+            assert (num, den) == (want.numerator, want.denominator), orders
+            assert den >= 1 and gcd(num, den) == 1
+            assert chi_orb(S2(orders)) == want
+
+
+def test_stored_chi_leaves_equality_hash_and_repr_alone():
+    orb = S2((7, 3, 2))
+    fresh = S2((2, 3, 7))
+    assert orb.chi == (-1, 42)
+    assert orb == fresh and hash(orb) == hash(fresh) == hash(((2, 3, 7),))
+    assert repr(orb) == repr(fresh) == "Orbifold2(cone_orders=(2, 3, 7))"
+    assert [f.name for f in fields(Orbifold2)] == ["cone_orders"]
 
 
 def test_riemann_hurwitz():
@@ -144,6 +167,21 @@ def test_partition_systems_match_reference_spherical():
 
 
 # --- permutation oracle
+
+
+def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
+    ident, rot = (0, 1, 2), (1, 2, 0)
+    witness = PermWitness(3, (1, 3, 3), (ident, rot, perm_inverse(rot)))
+    assert witness.cycle_types == ((1, 1, 1), (3,), (3,))
+    assert witness.partition_system().partitions == witness.cycle_types
+    assert witness.cover_orders() == ()
+    assert "cycle_types" not in repr(witness)
+    # product not the identity; a 3-cycle at an order-2 point; intransitive
+    for base3, perms in [((1, 3, 3), (ident, rot, rot)),
+                         ((1, 2, 3), (ident, rot, perm_inverse(rot))),
+                         ((1, 1, 1), (ident, ident, ident))]:
+        with pytest.raises(ValueError):
+            PermWitness(3, base3, perms)
 
 
 def test_oracle_finds_sporadic_cover():

@@ -19,13 +19,16 @@ from dehncover.core import (
 from dehncover.surgery import SFS, classify_surgery, surgery_seifert_invariants
 from dehncover.orbcover import chi_orb, classify_cover, partition_systems
 from dehncover.sfscover import (
+    CHI_MISMATCH,
     H1_DIVISIBILITY,
+    NO_ORBIFOLD_COVER,
     LENS_DIVISIBILITY,
     RANK,
     REDUCIBILITY,
     _EXCLUDED_KNOTS,
     _chi_zero_degree,
     _lens_candidate_bases,
+    CoverDecision,
     decide_cover,
     decide_cover_directed,
     fiberwise_lift,
@@ -187,6 +190,31 @@ def test_decide_cover_zero_surgery():
     assert decide_cover_directed(K23, Slope(0, 1), Slope(1, 1)).reason == H1_DIVISIBILITY
 
 
+def test_negative_decisions_are_shared_and_equal_fresh_ones():
+    # two pairs ending in the same fixed-detail obstruction get one shared
+    # decision, equal to a freshly built one
+    cases = [
+        (CHI_MISMATCH, "orbifold Euler characteristics admit no integer degree",
+         (K47, Slope(30, 1), Slope(31, 1)), (K47, Slope(31, 1), Slope(33, 1))),
+        (REDUCIBILITY, "the unique reducible surgery only covers / is covered by itself",
+         (K23, Slope(7, 2), Slope(6, 1)), (K23, Slope(6, 1), Slope(5, 1))),
+        (RANK, "0-surgery (first betti number 1) is never covered by another surgery",
+         (K23, Slope(1, 1), Slope(0, 1)), (K23, Slope(5, 1), Slope(0, 1))),
+        (H1_DIVISIBILITY, "a surgery with infinite H_1 cannot cover one with finite H_1",
+         (K23, Slope(0, 1), Slope(1, 1)), (K23, Slope(0, 1), Slope(5, 1))),
+        (NO_ORBIFOLD_COVER, "covers of lens spaces are lens spaces",
+         (K23, Slope(2, 1), Slope(5, 1)), (K23, Slope(3, 1), Slope(5, 1))),
+        (NO_ORBIFOLD_COVER, "no admissible cover between the base orbifolds",
+         (K57, Slope(36, 1), Slope(37, 1)), (K57, Slope(34, 1), Slope(37, 1))),
+        # the deepest stage's obstruction, with no detail
+        (H1_DIVISIBILITY, "", (K23, Slope(7, 1), Slope(2, 1)), (K23, Slope(7, 1), Slope(3, 1))),
+    ]
+    for reason, detail, first, second in cases:
+        dec = decide_cover_directed(*first)
+        assert dec == CoverDecision(False, reason=reason, detail=detail), (first, dec)
+        assert decide_cover_directed(*second) is dec, second
+
+
 def test_decide_cover_lens_pair():
     # 5/1 and 7/1 on T(2,3) are L(5,1) and L(7,5)-ish: no divisibility
     dec = decide_cover(K23, Slope(5, 1), Slope(7, 1))
@@ -251,7 +279,7 @@ def test_pullback_lens_type_matches_covering_theory():
     # (d,d)-presentation along S^2 -> S^2(d,d) must land on exactly that
     import random
 
-    from dehncover.core import LensSpace, lens_equivalent, sfs_to_lens
+    from dehncover.core import LensSpace, sfs_to_lens
 
     rng = random.Random(7)
     checked = 0
@@ -264,7 +292,7 @@ def test_pullback_lens_type_matches_covering_theory():
             continue
         sys = partition_systems(Orbifold2(()), Orbifold2((d, d)), d)[0]
         P = pullback(M, sys)
-        assert lens_equivalent(sfs_to_lens(P), LensSpace(h // d, sfs_to_lens(M).q))
+        assert sfs_to_lens(P) == LensSpace(h // d, sfs_to_lens(M).q)
         checked += 1
     assert checked > 300
 

@@ -8,7 +8,6 @@ from dehncover.core import (
     Slope,
     TorusKnot,
     h1_order,
-    lens_equivalent,
     normalize,
     parse_seifert,
     sfs_equivalent,
@@ -50,7 +49,7 @@ def test_classify_reducible():
 
 def test_classify_lens():
     cl = classify_surgery(K23, Slope(5, 1))
-    assert cl.kind == LENS and lens_equivalent(cl.lens, LensSpace(5, 1))
+    assert cl.kind == LENS and cl.lens == LensSpace(5, 1)
 
 
 def test_classify_t25_example():
