@@ -5,10 +5,17 @@ Everything in this module is integer / rational arithmetic (no floats).
 Manifolds are compared up to orientation-reversing homeomorphism throughout:
 a Seifert fibered space and its mirror count as the same unoriented manifold,
 and lens spaces are classified by q up to +-q^{+-1} mod p.
+
+Slope and TorusKnot are tuple subclasses (namedtuples), because every slope
+scan keys its caches on them: hashing and equality then run in C.  The Euler
+number is kept in integers as well: euler_pair gives (num, den) with
+e = -num/den and den the product of the fiber orders, and h1_order,
+euler_number and the fiberwise lift all read that one formula.
 """
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,27 +34,29 @@ def _modinv(a: int, m: int) -> int:
 # Domain types
 
 
-@dataclass(frozen=True, order=True)
-class Slope:
+class Slope(namedtuple("Slope", ("p", "q"))):
     """A surgery slope p/q in the homological framing.
 
     Normalised so that q >= 1, except the infinity slope which is stored as
     (1, 0).  p/q and (-p)/(-q) are the same slope.
+
+    An immutable tuple (p, q), so hashing, equality and ordering run in C and
+    hash(Slope(p, q)) == hash((p, q)).  Two consequences of the tuple base:
+    a Slope compares equal to the plain tuple (p, q), and the inherited
+    _make and _replace skip the normalisation (nothing in the package calls
+    them).
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __new__(cls, p: int, q: int):
         if gcd(p, q) != 1:
             raise ValueError(f"slope {p}/{q} is not reduced")
         if q < 0:
             p, q = -p, -q
         if q == 0:
             p = 1
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return tuple.__new__(cls, (p, q))
 
     @property
     def is_infinity(self) -> bool:
@@ -57,18 +66,22 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class TorusKnot:
-    """The positive torus knot T(r, s), r, s >= 2 coprime."""
+class TorusKnot(namedtuple("TorusKnot", ("r", "s"))):
+    """The positive torus knot T(r, s), r, s >= 2 coprime.
 
-    r: int
-    s: int
+    An immutable tuple (r, s), with the same two consequences as for Slope:
+    it compares equal to the plain tuple (r, s), and _make and _replace skip
+    the validation.
+    """
 
-    def __post_init__(self):
-        if self.r < 2 or self.s < 2:
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int):
+        if r < 2 or s < 2:
             raise ValueError("torus knot parameters must be >= 2 (no unknots)")
-        if gcd(self.r, self.s) != 1:
-            raise ValueError(f"T({self.r},{self.s}) is not a knot: r, s must be coprime")
+        if gcd(r, s) != 1:
+            raise ValueError(f"T({r},{s}) is not a knot: r, s must be coprime")
+        return tuple.__new__(cls, (r, s))
 
     def __str__(self):
         return f"T({self.r},{self.s})"
@@ -171,11 +184,15 @@ class Orbifold2:
     cone_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        orders = tuple(sorted(int(v) for v in self.cone_orders if int(v) > 1))
+        orders = []
         for v in self.cone_orders:
-            if int(v) < 1:
+            m = int(v)
+            if m > 1:
+                orders.append(m)
+            elif m < 1:
                 raise ValueError(f"cone order {v} < 1")
-        object.__setattr__(self, "cone_orders", orders)
+        orders.sort()
+        object.__setattr__(self, "cone_orders", tuple(orders))
 
     @cached_property
     def chi(self) -> tuple[int, int]:
@@ -214,9 +231,25 @@ def mirror(M: SeifertInvariants) -> SeifertInvariants:
     return SeifertInvariants(-M.b, tuple((a, -be) for a, be in M.fibers))
 
 
+def euler_pair(b: int, fibers: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """The integers (num, den) with e = -num/den for the Seifert invariants
+    {b; fibers}, where den = prod alpha_i and
+    num = den b + sum_j beta_j prod_{i != j} alpha_i (not reduced).
+
+    Takes the pieces rather than a SeifertInvariants so that fiberwise_lift
+    can read the sum over lifted fibers without building one.
+    """
+    num, den = b, 1
+    for a, be in fibers:
+        num = num * a + be * den
+        den *= a
+    return num, den
+
+
 def euler_number(M: SeifertInvariants) -> Fraction:
     """e(M) = -(b + sum beta_i/alpha_i), exact."""
-    return -(Fraction(M.b) + sum((Fraction(be, a) for a, be in M.fibers), Fraction(0)))
+    num, den = euler_pair(M.b, M.fibers)
+    return Fraction(-num, den)
 
 
 def h1_order(M: SeifertInvariants) -> int:
@@ -225,12 +258,7 @@ def h1_order(M: SeifertInvariants) -> int:
     |(prod alpha_i) b + sum_j beta_j prod_{i != j} alpha_i|, which equals
     |prod(alpha_i) * e(M)|.
     """
-    e = euler_number(M)
-    total = e
-    for a, _ in M.fibers:
-        total *= a
-    assert total.denominator == 1
-    return abs(int(total))
+    return abs(euler_pair(M.b, M.fibers)[0])
 
 
 def sfs_equivalent(M1: SeifertInvariants, M2: SeifertInvariants) -> bool:

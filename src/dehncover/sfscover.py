@@ -23,12 +23,15 @@ orbifold keeps its Euler characteristic as a reduced integer pair
 (Orbifold2.chi, computed on first read), and the degree test is one divmod
 of those integers, before any table is read.  Every negative decision whose
 detail does not depend on the pair is one shared module-level constant, so
-a pair ruled out early builds no object.
+a pair ruled out early builds no object.  The cache keys of
+decide_cover_directed and classify_surgery are tuples of core.Slope and
+core.TorusKnot, which are namedtuples, so each lookup hashes in C; and
+fiberwise_lift tests that b~ is an integer by one divmod on the integer
+Euler pair (core.euler_pair), building no Fraction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
@@ -38,7 +41,7 @@ from .core import (
     Slope,
     TorusKnot,
     _modinv,
-    euler_number,
+    euler_pair,
     lens_covers,
     sfs_equivalent,
     sfs_to_lens,
@@ -97,13 +100,15 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
         if gcd(d, a) != 1:
             raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
     lifted = tuple((a, (_modinv(d, a) * be) % a) for a, be in M.fibers)
-    # b~ = -e(M)/d - sum beta~/alpha must come out an integer
-    total = -euler_number(M) / d - sum(
-        (Fraction(bt, a) for a, bt in lifted), Fraction(0)
-    )
-    if total.denominator != 1:
+    # b~ = -e(M)/d - sum beta~/alpha must come out an integer; with
+    # e(M) = -num/den and sum beta~/alpha = s/den over the same den, that is
+    # (num - d s) / (d den)
+    num, den = euler_pair(M.b, M.fibers)
+    s = euler_pair(0, lifted)[0]
+    b, rem = divmod(num - d * s, d * den)
+    if rem:
         return None
-    return SeifertInvariants(int(total), lifted)
+    return SeifertInvariants(b, lifted)
 
 
 def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:

@@ -1,8 +1,13 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dehncover.core import (
     LensRegimeError,
@@ -22,6 +27,7 @@ from dehncover.core import (
     sfs_to_lens,
     sfs_equivalent,
 )
+from dehncover.sfscover import fiberwise_lift
 
 
 def random_seifert(rng, nfibers=None, max_order=12):
@@ -55,6 +61,40 @@ def test_torus_knot_validation():
         TorusKnot(2, 4)
     with pytest.raises(ValueError):
         TorusKnot(1, 3)
+
+
+def test_slope_and_knot_value_types():
+    slopes = [Slope(3, 1), Slope(-3, -2), Slope(p=-7, q=2), Slope(1, 0), Slope(0, 1)]
+    knots = [TorusKnot(2, 3), TorusKnot(r=5, s=3)]
+    assert [repr(v) for v in slopes + knots] == [
+        "Slope(p=3, q=1)", "Slope(p=3, q=2)", "Slope(p=-7, q=2)", "Slope(p=1, q=0)",
+        "Slope(p=0, q=1)", "TorusKnot(r=2, s=3)", "TorusKnot(r=5, s=3)",
+    ]
+    assert [str(v) for v in slopes + knots] == ["3/1", "3/2", "-7/2", "1/0", "0/1", "T(2,3)", "T(5,3)"]
+    for v in slopes + knots:
+        assert hash(v) == hash(tuple(v))
+        assert v == tuple(v)  # the documented tuple caveat
+        for clone in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v)):
+            assert clone == v and type(clone) is type(v) and repr(clone) == repr(v)
+    assert Slope(3, 1).p == 3 and Slope(3, 1).q == 1
+    assert TorusKnot(5, 3).r == 5 and TorusKnot(5, 3).s == 3
+    assert sorted(slopes) == [Slope(-7, 2), Slope(0, 1), Slope(1, 0), Slope(3, 1), Slope(3, 2)]
+    assert Slope(p=-3, q=-2) == Slope(3, 2)
+    assert Slope(1, 0) == Slope(-1, 0) == (1, 0)
+    assert Slope(-1, 0).is_infinity and not Slope(0, 1).is_infinity
+    with pytest.raises(ValueError, match="slope 6/2 is not reduced"):
+        Slope(6, 2)
+    with pytest.raises(ValueError, match="slope -5/0 is not reduced"):
+        Slope(-5, 0)
+    with pytest.raises(ValueError, match="not a knot"):
+        TorusKnot(4, 6)
+    with pytest.raises(ValueError, match="no unknots"):
+        TorusKnot(3, 1)
+    # _make and _replace would skip the normalisation, so no code may use them
+    src = Path(__file__).resolve().parents[1] / "src" / "dehncover"
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "._make(" not in text and "._replace(" not in text, path.name
 
 
 def test_parse_and_emit_roundtrip():
@@ -125,6 +165,49 @@ def test_euler_number_examples():
     assert euler_number(parse_seifert("{1;(2,1),(3,1),(3,2)}")) == Fraction(-5, 2)
     assert euler_number(parse_seifert("{0;}")) == 0
     assert euler_number(parse_seifert("{9;(3,1),(3,2)}")) == -10
+
+
+def _reference_euler_number(M):
+    return -(Fraction(M.b) + sum((Fraction(be, a) for a, be in M.fibers), Fraction(0)))
+
+
+def _reference_h1_order(M):
+    total = _reference_euler_number(M)
+    for a, _ in M.fibers:
+        total *= a
+    assert total.denominator == 1
+    return abs(int(total))
+
+
+def _reference_fiberwise_lift(M, d):
+    lifted = tuple((a, (pow(d, -1, a) * be) % a) for a, be in M.fibers)
+    total = -_reference_euler_number(M) / d - sum(
+        (Fraction(bt, a) for a, bt in lifted), Fraction(0)
+    )
+    if total.denominator != 1:
+        return None
+    return SeifertInvariants(int(total), lifted)
+
+
+@st.composite
+def seifert_invariants(draw):
+    fibers = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.integers(1, 30))
+        be = draw(st.sampled_from([x for x in range(-2 * a, 2 * a + 1) if gcd(x, a) == 1]))
+        fibers.append((a, be))
+    return SeifertInvariants(draw(st.integers(-50, 50)), tuple(fibers))
+
+
+@given(seifert_invariants(), st.integers(1, 60))
+def test_integer_euler_arithmetic_matches_fractions(M, d):
+    assert h1_order(M) == _reference_h1_order(M)
+    assert euler_number(M) == _reference_euler_number(M)
+    if any(gcd(d, a) != 1 for a, _ in M.fibers):
+        with pytest.raises(ValueError):
+            fiberwise_lift(M, d)
+    else:
+        assert fiberwise_lift(M, d) == _reference_fiberwise_lift(M, d)
 
 
 def test_h1_equals_alpha_product_times_euler():
