@@ -64,7 +64,6 @@ from .hyperbolic import (
     short_slope_box,
     slope_length,
     vcsc_length_bound,
-    volume_cover_filter,
 )
 
 __version__ = "0.1.0"

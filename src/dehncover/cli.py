@@ -26,6 +26,7 @@ from .core import (
 )
 from .hyperbolic import (
     DegreeLimitError,
+    _check_tolerance,
     audit_knot,
     enumerate_short_slopes,
     normalize_cusp,
@@ -54,8 +55,7 @@ class Config:
     def __post_init__(self):
         if self.oracle_degree_budget < 1:
             raise ValueError("--budget must be >= 1")
-        if not (math.isfinite(self.volume_tolerance) and self.volume_tolerance > 0):
-            raise ValueError("--tolerance must be finite and positive")
+        _check_tolerance(self.volume_tolerance)  # the audit's own rule: finite and >= 0
         if self.output_format not in ("text", "tsv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 

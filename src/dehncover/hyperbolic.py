@@ -32,20 +32,26 @@ not (bases x fillings) volume tests.  A base whose degree list would pass
 MAX_CANDIDATE_DEGREES makes the record fail with DegreeLimitError.
 
 The audit walks the short slopes as normalised integer pairs (p, q) from
-_short_slopes and builds no Slope for them; enumerate_short_slopes wraps
-the same walk for callers that want Slopes.  read_census builds each
-distinct (p, q) of a file once and shares that Slope among the records
-listing it: a generated 1,000-record census has about 30,500 filling
-triples and 1,300 distinct pairs, a 96% hit rate.  The table holds at most
-one Slope per distinct pair in the file and is dropped when read_census
-returns.
+_short_slopes, which normalises and length-tests each lattice point as it
+generates it, and builds no Slope for them; enumerate_short_slopes wraps
+the same walk for callers that want Slopes.  Filling and AuditRow are
+namedtuples, as Slope is, and since a Slope hashes and compares as its
+(p, q), the audit looks a walked pair up in a per-call index keyed by the
+fillings' own Slopes; nothing is cached on the record.  read_census builds
+each distinct pair of p and q tokens of a file once and shares that Slope
+among the records listing it: a generated 1,000-record census has about
+30,500 filling triples and 1,300 distinct pairs, a 96% hit rate.  The
+table holds at most one Slope per distinct pair in the file and is dropped
+when read_census returns.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 from .core import Slope
 
@@ -188,9 +194,10 @@ def _short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[float, int, int]
     |u|^2: row y holds short vectors only for |y| <= k |u| / A, and there x
     lies within sqrt(k^2 - (y A / |u|)^2) / |u| of -y c.  The vector and its
     negative give the same slope, so only rows y > 0 are walked, plus u for
-    y = 0 (x = +-1 are the only primitive points there).  Candidates with
-    gcd(x, y) = 1 map back to (p, q), and the same float length |p m + q l|
-    as slope_length decides, against k + LENGTH_TOL.  That makes about
+    y = 0 (x = +-1 are the only primitive points there).  In one pass, each
+    point with gcd(x, y) = 1 is mapped back to (p, q), normalised, and kept
+    when the same float length |p m + q l| as slope_length gives is at most
+    k + LENGTH_TOL; no candidate list is built.  That makes about
     (k|u| + 1)(2k/|u| + 3) candidates, whatever the shape; |u|^2 <= 2/sqrt(3)
     for a reduced basis of area 1.
     """
@@ -204,22 +211,24 @@ def _short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[float, int, int]
     centre = gram.real / norm_u
     m, l = cusp.m, cusp.l
     out = []
-    candidates = [(pu, qu)]
-    for y in range(1, int(reach * math.sqrt(norm_u) / area) + 1):
-        rest = reach * reach - y * y * area * area / norm_u
-        if rest < 0:
-            continue
-        half = math.sqrt(rest / norm_u)
-        c = -y * centre
-        for x in range(math.ceil(c - half), math.floor(c + half) + 1):
+    for y in range(int(reach * math.sqrt(norm_u) / area) + 1):
+        if y:
+            rest = reach * reach - y * y * area * area / norm_u
+            if rest < 0:
+                continue
+            half = math.sqrt(rest / norm_u)
+            c = -y * centre
+            xs = range(math.ceil(c - half), math.floor(c + half) + 1)
+        else:
+            xs = (1,)  # u itself
+        for x in xs:
             if gcd(x, y) == 1:
-                candidates.append((x * pu + y * pv, x * qu + y * qv))
-    for p, q in candidates:
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        length = abs(p * m + q * l)
-        if length <= cut:
-            out.append((length, p, q))
+                p, q = x * pu + y * pv, x * qu + y * qv
+                if q < 0 or (q == 0 and p < 0):
+                    p, q = -p, -q
+                length = abs(p * m + q * l)
+                if length <= cut:
+                    out.append((length, p, q))
     out.sort()
     return out
 
@@ -257,24 +266,6 @@ def _degree_bound(vol_base: float, vol_complement: float, tol: float) -> int:
     return n
 
 
-def volume_cover_filter(
-    vol_cover: float, vol_base: float, vol_complement: float, tol: float
-) -> set[int]:
-    """Covering degrees compatible with the given volumes: n >= 1 with
-    vol_cover = n * vol_base (within tol) and n * vol_base below the
-    complement volume.  Only the n within one of (vol_cover +- tol) /
-    vol_base are tested."""
-    _check_tolerance(tol)
-    if vol_base <= 0 or vol_cover <= 0:
-        raise ValueError("volumes must be positive")
-    if vol_base >= vol_complement or vol_cover >= vol_complement:
-        raise ValueError("filled volume must be below the complement volume")
-    top = _degree_bound(vol_base, vol_complement, tol)
-    lo = max(1, math.floor((vol_cover - tol) / vol_base) - 1)
-    hi = min(top, math.ceil((vol_cover + tol) / vol_base) + 1)
-    return {n for n in range(lo, hi + 1) if _volume_match(vol_cover, n, vol_base, tol)}
-
-
 def degree2_h1_obstruction(p: int) -> bool:
     """True iff a manifold with |H_1| = p admits no 2-fold cover (p odd:
     no surjection H_1 -> Z/2).  p = 0 (infinite H_1) is never obstructed."""
@@ -293,10 +284,12 @@ def rank_obstruction(rank_cover: int, rank_base: int) -> bool:
 # Census records and the audit
 
 
-@dataclass(frozen=True)
-class Filling:
-    slope: Slope
-    volume: float | None = None  # None marks an exceptional (non-hyperbolic) filling
+class Filling(namedtuple("Filling", ("slope", "volume"), defaults=(None,))):
+    """One measured or exceptional filling of a cusp: an immutable tuple
+    (slope, volume), with volume None for an exceptional (non-hyperbolic)
+    filling."""
+
+    __slots__ = ()
 
     @property
     def exceptional(self) -> bool:
@@ -324,29 +317,28 @@ class CuspRecord:
         if self.volume_complement <= 0:
             raise ValueError(f"{self.name}: complement volume must be positive")
         seen = set()
-        for f in self.fillings:
-            key = (f.slope.p, f.slope.q)
-            if f.volume is not None:
-                if key == (1, 0):
+        for slope, volume in self.fillings:
+            if volume is not None:
+                if slope == (1, 0):
                     raise ValueError(f"{self.name}: slope 1/0 gives S^3, which has no volume")
-                if not 0 < f.volume < self.volume_complement:
+                if not 0 < volume < self.volume_complement:
                     raise ValueError(
-                        f"{self.name}: filling {f.slope} volume {f.volume} not in "
+                        f"{self.name}: filling {slope} volume {volume} not in "
                         f"(0, {self.volume_complement})"
                     )
-            if key in seen:
-                raise ValueError(f"{self.name}: slope {f.slope} is listed twice")
-            seen.add(key)
+            if slope in seen:
+                raise ValueError(f"{self.name}: slope {slope} is listed twice")
+            seen.add(slope)
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    knot: str
-    cover_slope: str  # "*" when the candidate cover is an arbitrary unknown slope
-    base_slope: str
-    degrees: tuple[int, ...]
-    status: str  # survivor | eliminated | exceptional | unmeasured
-    reason: str
+class AuditRow(
+    namedtuple("AuditRow", ("knot", "cover_slope", "base_slope", "degrees", "status", "reason"))
+):
+    """One line of an audit, an immutable tuple.  cover_slope is "*" when the
+    candidate cover is an arbitrary unknown slope; status is survivor,
+    eliminated, exceptional or unmeasured."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -365,6 +357,9 @@ class AuditReport:
     @property
     def verified(self) -> bool:
         return not any(r.status in ("survivor", "unmeasured") for r in self.rows)
+
+
+_volume = attrgetter("volume")
 
 
 def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
@@ -388,10 +383,11 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     cusp = normalize_cusp(rec.cusp_shape)
     cutoff = normalized_cutoff()
     fillings = rec.fillings
-    index = {(f.slope.p, f.slope.q): i for i, f in enumerate(fillings)}
-    by_volume = sorted((f.volume, i) for i, f in enumerate(fillings) if f.volume is not None)
-    volumes = [v for v, _i in by_volume]
+    index = {f.slope: i for i, f in enumerate(fillings)}
+    by_volume = sorted([f for f in fillings if f.volume is not None], key=_volume)
+    volumes = [f.volume for f in by_volume]
     half = rec.volume_complement / 2.0
+    too_big = f" > complement/2 = {half:.7f} (tolerance-sensitive)"
     rows = []
     for _length, p, q in _short_slopes(cusp, cutoff):
         if q == 0:
@@ -401,7 +397,8 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
         if i is None:
             rows.append(AuditRow(rec.name, "*", base, (), "unmeasured", "no filling data"))
             continue
-        vol = fillings[i].volume
+        f = fillings[i]
+        vol = f.volume
         if vol is None:
             rows.append(
                 AuditRow(
@@ -414,7 +411,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
             rows.append(
                 AuditRow(
                     rec.name, "*", base, (), "eliminated",
-                    f"volume {vol:.7f} > complement/2 = {half:.7f} (tolerance-sensitive)",
+                    f"volume {vol:.7f}{too_big}",
                 )
             )
             continue
@@ -439,9 +436,9 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
             centre = n * vol
             pad = tol + MATCH_SLACK * (centre + tol)
             lo = bisect_left(volumes, centre - pad)
-            for g_vol, j in by_volume[lo:bisect_right(volumes, centre + pad, lo)]:
-                if j != i and _volume_match(g_vol, n, vol, tol):
-                    matched.setdefault(j, []).append(n)
+            for g in by_volume[lo:bisect_right(volumes, centre + pad, lo)]:
+                if g is not f and _volume_match(g.volume, n, vol, tol):
+                    matched.setdefault(index[g.slope], []).append(n)
         for j in sorted(matched):
             rows.append(
                 AuditRow(
@@ -485,9 +482,10 @@ def parse_census_line(line: str) -> CuspRecord:
     return _parse_census_line(line, {})
 
 
-def _parse_census_line(line: str, slopes: dict[tuple[int, int], Slope]) -> CuspRecord:
+def _parse_census_line(line: str, slopes: dict[tuple[str, str], Slope]) -> CuspRecord:
     """parse_census_line, taking each filling's Slope from slopes (keyed by
-    the (p, q) as written) and adding to it the ones it has to build."""
+    the p and q tokens as written, so a pair seen before is not parsed
+    again) and adding to it the ones it has to build."""
     tokens = line.split()
     if len(tokens) < 4:
         raise ValueError("record needs: name, shape re, shape im, complement volume")
@@ -498,12 +496,11 @@ def _parse_census_line(line: str, slopes: dict[tuple[int, int], Slope]) -> CuspR
     if len(rest) % 3:
         raise ValueError(f"{name}: filling entries must come in (p, q, volume) triples")
     fillings = []
-    for i in range(0, len(rest), 3):
-        key = (int(rest[i]), int(rest[i + 1]))
-        slope = slopes.get(key)
+    triples = iter(rest)
+    for p, q, raw in zip(triples, triples, triples):
+        slope = slopes.get((p, q))
         if slope is None:
-            slope = slopes[key] = Slope(*key)  # raises before storing an unreduced pair
-        raw = rest[i + 2]
+            slope = slopes[p, q] = Slope(int(p), int(q))  # raises before storing an unreduced pair
         if raw.upper() == "EXC":
             volume = None
         else:
@@ -517,10 +514,10 @@ def _parse_census_line(line: str, slopes: dict[tuple[int, int], Slope]) -> CuspR
 def read_census(path: str) -> tuple[list[CuspRecord], list[str]]:
     """Parse a census file; malformed records, and lines that are not UTF-8,
     become error strings and do not stop the rest of the file from loading.
-    The lines share one table of Slopes, so each distinct (p, q) in the file
-    is built once."""
+    The lines share one table of Slopes, so each distinct pair of p and q
+    tokens in the file is parsed and built once."""
     records, errors = [], []
-    slopes: dict[tuple[int, int], Slope] = {}
+    slopes: dict[tuple[str, str], Slope] = {}
     with open(path, "rb") as fh:
         # bytes.splitlines ends a line at \n, \r\n or a lone \r, as text mode does
         lines = (line for chunk in fh for line in chunk.splitlines())

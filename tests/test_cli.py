@@ -319,16 +319,23 @@ def test_cover_lens_against_a_huge_hyperbolic_base_ends_fast():
                            "-999999994/1 → 5/1: no orbifold cover)\n")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 def test_tolerance_must_be_finite(tmp_path, value):
     # nan turned the survivor row "* -> 1/1 degrees [3,4]" into an elimination,
-    # and inf made the audit loop forever
+    # and inf made the audit loop forever.  The CLI takes the library's rule,
+    # so 0 is accepted and asks for exact volume matches: 4 * 1.0 is not
+    # below the complement volume 4.0, so degree 4 drops out.
     path = tmp_path / "census.txt"
     path.write_text("a 0.1 1.2 4.0 0 1 0.5 1 1 1.0 3 1 1.5\n")
     proc = _run_cli("--tolerance", value, "audit", str(path), timeout=30)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: --tolerance must be finite and positive\n"
+    if value == "0":
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "* -> 1/1\tdegrees [3]\tsurvivor" in proc.stdout
+    else:
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: tolerance must be finite and >= 0, got {float(value)}\n"
     proc = _run_cli("audit", str(path), timeout=30)
     assert "* -> 1/1\tdegrees [3,4]\tsurvivor" in proc.stdout
 

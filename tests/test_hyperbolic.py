@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 import time
 
@@ -15,6 +16,11 @@ from dehncover.hyperbolic import (
     CuspRecord,
     DegreeLimitError,
     Filling,
+    _check_tolerance,
+    _degree_bound,
+    _reduced_basis,
+    _short_slopes,
+    _volume_match,
     audit_knot,
     degree2_h1_obstruction,
     enumerate_short_slopes,
@@ -26,7 +32,6 @@ from dehncover.hyperbolic import (
     short_slope_box,
     slope_length,
     vcsc_length_bound,
-    volume_cover_filter,
 )
 from conftest import FIG8_FILLED, FIG8_VOLUME, SIX1_FILLED, SIX1_VOLUME, all_big_record, fig8_record, six1_record
 
@@ -179,6 +184,31 @@ def test_enumerate_matches_bruteforce_on_doubled_box():
         assert got == brute
 
 
+@pytest.mark.parametrize("shape", [complex(-1.5, 0.1), complex(-2.6, -0.1)])
+def test_short_slopes_normalise_a_reduced_u_with_negative_q(shape):
+    # the walk takes u itself as the one point of row 0, so u must get the
+    # same sign normalisation and length test as every other point
+    c = normalize_cusp(shape)
+    (pu, qu), u, _pv, _v = _reduced_basis(c)
+    assert qu < 0
+    a, b = short_slope_box(4.0, c)
+
+    def brute(k):
+        out = []
+        for q in range(0, 2 * int(b) + 3):
+            for p in range(-2 * int(a) - 3, 2 * int(a) + 4):
+                if math.gcd(p, q) == 1 and (q or p == 1):
+                    length = abs(p * c.m + q * c.l)
+                    if length <= k + LENGTH_TOL:
+                        out.append((length, p, q))
+        return sorted(out)
+
+    for k in (abs(u) * 0.999, abs(u) * 1.001, 1.5, 4.0):
+        got = _short_slopes(c, k)
+        assert got == brute(k)
+        assert ((-pu, -qu) in [(p, q) for _length, p, q in got]) == (k > abs(u))
+
+
 def test_short_slope_count_and_intersection_bound():
     rng = random.Random(17)
     cutoff = normalized_cutoff()
@@ -206,24 +236,47 @@ def test_vcsc_length_bound():
 # --- volume / homology obstructions
 
 
+def filter_degrees(vol_cover, vol_base, vol_complement, tol):
+    """The audit's volume filter: the degrees n >= 1 below _degree_bound whose
+    n * vol_base matches vol_cover (_volume_match)."""
+    top = _degree_bound(vol_base, vol_complement, tol)
+    return {n for n in range(1, top + 1) if _volume_match(vol_cover, n, vol_base, tol)}
+
+
 def test_volume_cover_filter_examples():
     # twice the filled volume still fits under the complement volume, so a
     # degree-2 cover is volume-consistent (this is exactly why the homology
     # parity check is needed for the small fillings)
-    assert volume_cover_filter(2 * FIG8_FILLED, FIG8_FILLED, FIG8_VOLUME, 1e-4) == {2}
+    assert _degree_bound(FIG8_FILLED, FIG8_VOLUME, 1e-4) == 2
+    assert filter_degrees(2 * FIG8_FILLED, FIG8_FILLED, FIG8_VOLUME, 1e-4) == {2}
     assert 2 * FIG8_FILLED < FIG8_VOLUME
-    assert volume_cover_filter(SIX1_FILLED, SIX1_FILLED, SIX1_VOLUME, 1e-6) == {1}
-    with pytest.raises(ValueError):
-        volume_cover_filter(5.0, 1.0, 4.0, 1e-9)
+    assert filter_degrees(SIX1_FILLED, SIX1_FILLED, SIX1_VOLUME, 1e-6) == {1}
+    # a filling volume above the complement volume is refused with the record
+    with pytest.raises(ValueError, match=r"x: filling 5/1 volume 5.0 not in \(0, 4.0\)"):
+        CuspRecord("x", 1j, 4.0, (Filling(Slope(5, 1), 5.0),))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-4])
 def test_tolerance_must_be_finite(tol):
-    # nan used to drop real survivors, and inf never ended the degree loop
-    with pytest.raises(ValueError, match="tolerance"):
-        volume_cover_filter(2 * FIG8_FILLED, FIG8_FILLED, FIG8_VOLUME, tol)
+    # what the rule prevents: an infinite tolerance leaves no degree bound
+    # (it never ended the degree loop), and within a nan or negative one not
+    # even an exact volume matches (nan dropped real survivors)
+    if math.isinf(tol):
+        with pytest.raises(DegreeLimitError):
+            _degree_bound(FIG8_FILLED, FIG8_VOLUME, tol)
+    else:
+        assert not _volume_match(2 * FIG8_FILLED, 2, FIG8_FILLED, tol)
+    with pytest.raises(ValueError, match=f"tolerance must be finite and >= 0, got {tol}"):
+        _check_tolerance(tol)
     with pytest.raises(ValueError, match="tolerance"):
         audit_knot(fig8_record(), tol=tol)
+
+
+def test_zero_tolerance_asks_for_exact_matches():
+    _check_tolerance(0.0)
+    assert _volume_match(2 * FIG8_FILLED, 2, FIG8_FILLED, 0.0)
+    assert not _volume_match(math.nextafter(2 * FIG8_FILLED, 3.0), 2, FIG8_FILLED, 0.0)
+    assert audit_knot(fig8_record(), tol=0.0) == audit_knot(fig8_record(), tol=1e-4)
 
 
 def test_degree2_obstruction():
@@ -406,7 +459,8 @@ def test_volume_cover_filter_matches_the_walk(vol_base, n, offset, ulps, tol):
         if abs(vol_cover - k * vol_base) <= tol:
             walk.add(k)
         k += 1
-    assert volume_cover_filter(vol_cover, vol_base, vol_complement, tol) == walk
+    assert _degree_bound(vol_base, vol_complement, tol) == k - 1
+    assert filter_degrees(vol_cover, vol_base, vol_complement, tol) == walk
 
 
 def seeded_census(records, seed, copies):
@@ -451,8 +505,8 @@ def test_degree_limit_names_the_record_and_slope():
         audit_knot(rec)
     limit_volume = 2.0 / MAX_CANDIDATE_DEGREES
     with pytest.raises(DegreeLimitError):
-        volume_cover_filter(0.5, limit_volume / 2, 2.0, 1e-4)
-    assert volume_cover_filter(2 * limit_volume, limit_volume, 2.0, 0.0) == {2}
+        _degree_bound(limit_volume / 2, 2.0, 1e-4)
+    assert filter_degrees(2 * limit_volume, limit_volume, 2.0, 0.0) == {2}
 
 
 # --- census ingestion
@@ -484,6 +538,41 @@ def test_parse_census_line():
     with pytest.raises(ValueError, match="slope 1/0"):
         parse_census_line("neg 0.0 3.46 2.03 -1 0 1.5")
     assert parse_census_line("exc 0.0 3.46 2.03 1 0 EXC").fillings[0].exceptional
+
+
+def test_filling_and_audit_row_value_types():
+    f = Filling(Slope(-3, -1), 0.5)
+    assert repr(f) == "Filling(slope=Slope(p=3, q=1), volume=0.5)"
+    assert (f.slope, f.volume) == (Slope(3, 1), 0.5) and not f.exceptional
+    e = Filling(Slope(0, 1))
+    assert repr(e) == "Filling(slope=Slope(p=0, q=1), volume=None)"
+    assert e.volume is None and e.exceptional and Filling(Slope(0, 1), None).exceptional
+    assert f == Filling(Slope(3, 1), 0.5) and hash(f) == hash(Filling(Slope(3, 1), 0.5))
+    assert f != e and f != Filling(Slope(3, 1), 0.25)
+    row = AuditRow("4_1", "*", "5/1", (2, 3), "survivor", "not eliminated")
+    assert repr(row) == ("AuditRow(knot='4_1', cover_slope='*', base_slope='5/1', degrees=(2, 3), "
+                         "status='survivor', reason='not eliminated')")
+    assert (row.knot, row.cover_slope, row.base_slope, row.degrees, row.status, row.reason) == tuple(row)
+    assert row == AuditRow("4_1", "*", "5/1", (2, 3), "survivor", "not eliminated")
+    assert row != AuditRow("4_1", "*", "5/1", (2,), "survivor", "not eliminated")
+    for value in (f, e, row):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value and repr(back) == repr(value)
+        with pytest.raises(AttributeError):
+            value.extra = 1  # no per-instance dict
+
+
+def test_audit_finds_a_slope_written_with_negative_q(tmp_path):
+    # -3 -1 is the slope 3/1: the audit must find its volume, not report the
+    # short slope 3/1 as unmeasured
+    path = tmp_path / "census.txt"
+    path.write_text("a 0.0 3.4641016151377544 2.0298832128193 -3 -1 0.5 0 1 EXC\n")
+    (rec,), errors = read_census(str(path))
+    assert errors == [] and rec.fillings[0].slope == Slope(3, 1)
+    rows = audit_knot(rec).rows
+    assert [r for r in rows if r.base_slope == "3/1"] == [
+        AuditRow("a", "*", "3/1", (3, 4), "survivor", "volume filter leaves candidate degrees; not eliminated")]
+    assert [r.status for r in rows if r.base_slope == "0/1"] == ["exceptional"]
 
 
 def test_read_census_collects_errors(tmp_path, census_records):
