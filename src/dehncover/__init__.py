@@ -34,7 +34,6 @@ from .orbcover import (
     PartitionSystem,
     PermWitness,
     UNCONSTRAINED,
-    chi_orb,
     classify_cover,
     partition_systems,
     perm_cover_oracle,
@@ -45,6 +44,7 @@ from .sfscover import (
     CoverDecision,
     decide_cover,
     decide_cover_directed,
+    decide_pair,
     fiberwise_lift,
     fiberwise_quotient,
     pullback,

@@ -41,7 +41,7 @@ from .orbcover import (
     table_covers,
     verify_pair,
 )
-from .sfscover import decide_cover_directed
+from .sfscover import decide_pair
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,9 @@ def cmd_cover(args) -> int:
     K = TorusKnot(args.r, args.s)
     a, b = Slope(args.p, args.q), Slope(args.p2, args.q2)
     budget = args.cfg.oracle_degree_budget
-    # a -> b first, then b -> a, as decide_cover does; both are kept so
-    # that a NO names each direction's obstruction
-    forward = decide_cover_directed(K, a, b, budget)
-    dec = forward if forward.covers else decide_cover_directed(K, b, a, budget)
+    # reverse is None only when forward covers; a NO names both obstructions
+    forward, reverse = decide_pair(K, a, b, budget)
+    dec = forward if reverse is None else reverse
     if dec.covers:
         cert = dec.certificate
         print(
@@ -158,7 +157,7 @@ def cmd_cover(args) -> int:
         return 0
     reasons = "; ".join(
         f"{x} → {y}: {_REASON_TEXT.get(d.reason, d.reason or 'no cover')}"
-        for x, y, d in ((a, b, forward), (b, a, dec))
+        for x, y, d in ((a, b, forward), (b, a, reverse))
     )
     print(f"NO ({reasons})")
     return 0

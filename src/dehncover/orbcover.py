@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, isqrt, lcm
@@ -50,12 +49,6 @@ class BudgetExceededError(RuntimeError):
 # Marker: both orbifolds have chi = 0, so chi forces no degree.  Callers
 # test it with `is`.
 UNCONSTRAINED = "UNCONSTRAINED"
-
-
-def chi_orb(orb: Orbifold2) -> Fraction:
-    """Orbifold Euler characteristic 2 - sum (1 - 1/m) over cone points, as
-    a Fraction built from the integer pair Orbifold2.chi."""
-    return Fraction(*orb.chi)
 
 
 def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):

@@ -23,11 +23,16 @@ orbifold keeps its Euler characteristic as a reduced integer pair
 (Orbifold2.chi, computed on first read), and the degree test is one divmod
 of those integers, before any table is read.  Every negative decision whose
 detail does not depend on the pair is one shared module-level constant, so
-a pair ruled out early builds no object.  The cache keys of
-decide_cover_directed and classify_surgery are tuples of core.Slope and
-core.TorusKnot, which are namedtuples, so each lookup hashes in C; and
-fiberwise_lift tests that b~ is an integer by one divmod on the integer
-Euler pair (core.euler_pair), building no Fraction.
+a pair ruled out early builds no object.  decide_pair decides a -> b and,
+when that does not cover, b -> a, from one classify_surgery lookup per slope
+and with no decision cache; decide_cover and the cover command go through
+it.  The cache keys of classify_surgery (and of the one-direction
+decide_cover_directed) are tuples of core.Slope and core.TorusKnot, which
+are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
+b~ is an integer by one divmod on the integer Euler pair
+(core.euler_pair), building no Fraction.  A certificate's permutation
+witness realises the certificate's own partition system: its cycle types
+are that system's partitions.
 """
 from __future__ import annotations
 
@@ -46,14 +51,21 @@ from .core import (
     sfs_equivalent,
     sfs_to_lens,
 )
-from .surgery import LENS, REDUCIBLE, SFS, classify_surgery, surgery_seifert_invariants
+from .surgery import (
+    LENS,
+    REDUCIBLE,
+    SFS,
+    SurgeryClassification,
+    classify_surgery,
+    surgery_seifert_invariants,
+)
 from .orbcover import (
     PartitionSystem,
     PermWitness,
+    _witness_for_types,
     classify_cover,
     divisors,
     partition_systems,
-    perm_cover_oracle,
     riemann_hurwitz_degree,
 )
 
@@ -173,18 +185,19 @@ class CoverDecision:
 
 
 @lru_cache(maxsize=None)
-def _oracle_witness(cover_orders, base_orders, degree: int, budget: int):
-    """Cross-check an orbifold cover admitted by the tables with the
-    permutation oracle.  Returns a witness, or None when over budget."""
-    if degree > budget:
+def _oracle_witness(sys: PartitionSystem, budget: int) -> PermWitness | None:
+    """A monodromy witness realising the partition system sys, whose
+    partitions are its permutations' cycle types; None when the degree is
+    over budget."""
+    if sys.degree > budget:
         return None
-    for orb, witness in perm_cover_oracle(Orbifold2(base_orders), degree, budget):
-        if orb.cone_orders == cover_orders:
-            return witness
-    raise RuntimeError(
-        f"table admits S2{cover_orders} -> S2{base_orders} at degree {degree} "
-        "but the permutation oracle finds no witness"
-    )
+    witness = _witness_for_types(sys.degree, sys.base_orders, sys.partitions)
+    if witness is None:
+        raise RuntimeError(
+            f"table admits S2{sys.branch_orders()} -> S2{sys.base_orders} at degree "
+            f"{sys.degree} but no monodromy realises the partitions {sys.partitions}"
+        )
+    return witness
 
 
 def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
@@ -270,13 +283,16 @@ _NO_DEEPEST = tuple(
 _NO_COVER = CoverDecision(False, reason=NO_ORBIFOLD_COVER)
 
 
-@lru_cache(maxsize=1 << 20)
-def decide_cover_directed(
-    K: TorusKnot, cover_slope: Slope, base_slope: Slope, budget: int = 12
+def _decide_directed(
+    cover_slope: Slope,
+    base_slope: Slope,
+    cov: SurgeryClassification,
+    base: SurgeryClassification,
+    budget: int,
 ) -> CoverDecision:
-    """Decide whether the cover_slope surgery covers the base_slope surgery."""
-    cov = classify_surgery(K, cover_slope)
-    base = classify_surgery(K, base_slope)
+    """Decide whether the cover_slope surgery, classified as cov, covers the
+    base_slope surgery, classified as base.  Uncached: decide_pair and
+    decide_cover_directed hold the classifications and call this."""
     if cover_slope == base_slope:
         cert = CoverCertificate(cover_slope, base_slope, 1, 1, 1)
         return CoverDecision(True, cert, detail="identical surgeries")
@@ -353,9 +369,7 @@ def decide_cover_directed(
                 d_f,
                 d_o,
                 partition_system=sys,
-                perm_witness=_oracle_witness(
-                    C.cone_orders, B.cone_orders, d_o, budget
-                ),
+                perm_witness=_oracle_witness(sys, budget),
                 intermediate=inter,
             )
             return CoverDecision(True, cert)
@@ -369,21 +383,58 @@ def decide_cover_directed(
     return _NO_COVER
 
 
+@lru_cache(maxsize=1 << 20)
+def decide_cover_directed(
+    K: TorusKnot, cover_slope: Slope, base_slope: Slope, budget: int = 12
+) -> CoverDecision:
+    """Decide whether the cover_slope surgery covers the base_slope surgery.
+
+    One direction, cached.  decide_cover and the cover command go through
+    decide_pair and leave this cache empty.  It serves only a caller that
+    asks the same directed pair again; a scan of directed pairs (the
+    exceptional box) asks each once, so there it only fills, up to 1 << 20
+    entries.  It stays because bench/tracing.py reads its cache_info().
+    """
+    return _decide_directed(
+        cover_slope,
+        base_slope,
+        classify_surgery(K, cover_slope),
+        classify_surgery(K, base_slope),
+        budget,
+    )
+
+
+def decide_pair(
+    K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12
+) -> tuple[CoverDecision, CoverDecision | None]:
+    """Decide a -> b, then b -> a when a -> b does not cover.
+
+    Each slope is classified once for both directions, and no decision is
+    cached.  Returns (forward, reverse): forward decides a -> b, and
+    reverse decides b -> a, or is None when forward covers and b -> a was
+    not asked.
+    """
+    ca = classify_surgery(K, slope_a)
+    cb = classify_surgery(K, slope_b)
+    forward = _decide_directed(slope_a, slope_b, ca, cb, budget)
+    if forward.covers:
+        return forward, None
+    return forward, _decide_directed(slope_b, slope_a, cb, ca, budget)
+
+
 def decide_cover(K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12) -> CoverDecision:
     """Decide whether a covering map exists between the two surgeries, in
     either direction; the certificate names which slope is the cover.
 
     (The covering direction between two given surgeries is not always the
-    order the caller wrote them in, so both are tried: a -> b first, then
-    b -> a.)
+    order the caller wrote them in, so both are tried by decide_pair: a -> b
+    first, then b -> a.)  A positive decision is the one that covers; a
+    negative one is a -> b's, whose obstruction it reports.
     """
-    first = decide_cover_directed(K, slope_a, slope_b, budget)
-    if first.covers:
-        return first
-    second = decide_cover_directed(K, slope_b, slope_a, budget)
-    if second.covers:
-        return second
-    return first
+    forward, reverse = decide_pair(K, slope_a, slope_b, budget)
+    if reverse is not None and reverse.covers:
+        return reverse
+    return forward
 
 
 # ---------------------------------------------------------------------------

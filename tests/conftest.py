@@ -3,6 +3,7 @@ of a chosen cusp shape, carrying the four volumes the audit tests pin.
 Volumes for the remaining hyperbolic slopes are synthetic and chosen above
 half the complement volume (the audit only needs them to clear that bar)."""
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -26,6 +27,12 @@ FIG8_VOLUME = 2.0298832
 FIG8_FILLED = 0.9813688
 SIX1_VOLUME = 3.1639632
 SIX1_FILLED = 1.3985088
+
+
+def chi_fraction(orb):
+    """An orbifold's Euler characteristic as a Fraction, from the reduced
+    integer pair Orbifold2.chi."""
+    return Fraction(*orb.chi)
 
 
 def build_record(name, shape, vol_complement, exceptional, special, filler_base):

@@ -32,9 +32,9 @@ from dehncover.hyperbolic import (
     vcsc_length_bound,
 )
 from dehncover.surgery import surgery_seifert_invariants
-from dehncover.orbcover import chi_orb, oracle_covers, perm_cover_oracle
+from dehncover.orbcover import oracle_covers, perm_cover_oracle
 from dehncover.sfscover import decide_cover, torus_main_fastpath
-from conftest import all_big_record, fig8_record, six1_record
+from conftest import all_big_record, chi_fraction, fig8_record, six1_record
 from test_core import random_seifert
 
 
@@ -246,7 +246,7 @@ def test_criterion_8_property_suites(capsys):
     for base in [(2, 3, 7), (2, 3, 6), (3, 3, 3), (2, 4, 4), (2, 2, 5), (2, 3, 3)]:
         for n in range(1, 8):
             for orb, witness in perm_cover_oracle(Orbifold2(base), n):
-                assert chi_orb(orb) == n * chi_orb(Orbifold2(base))
+                assert chi_fraction(orb) == n * chi_fraction(Orbifold2(base))
     # Loeschian multiplicative closure below 200
     loes = [n for n in range(1, 201) if is_loeschian(n)]
     for a in loes:

@@ -78,6 +78,17 @@ def test_cover_over_a_chi_zero_base(capsys):
     assert "partitions: base S2(2,3,6) degree 4: [2+2 | 3+1 | 3+1]" in out
 
 
+def test_cover_found_on_the_reverse_leg(capsys):
+    # 1/1 does not cover 3/1 on T(2,3), 3/1 covers 1/1; either order prints
+    # the same certificate
+    code, out, _ = run(capsys, "cover", 2, 3, 1, 1, 3, 1)
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "COVERS degree 5 (fiberwise 1 × orbifold 5)", "  cover: 3/1", "  base: 1/1",
+    ]
+    assert run(capsys, "cover", 2, 3, 3, 1, 1, 1)[1] == out
+
+
 def test_cover_no_mismatch(capsys):
     # |rsq - p| differs in both pairs; the reasons printed are the
     # obstructions the procedure computed, one per direction

@@ -17,7 +17,7 @@ from dehncover.core import (
     sfs_equivalent,
 )
 from dehncover.surgery import SFS, classify_surgery, surgery_seifert_invariants
-from dehncover.orbcover import chi_orb, classify_cover, partition_systems
+from dehncover.orbcover import PartitionSystem, classify_cover, partition_systems
 from dehncover.sfscover import (
     CHI_MISMATCH,
     H1_DIVISIBILITY,
@@ -28,14 +28,17 @@ from dehncover.sfscover import (
     _EXCLUDED_KNOTS,
     _chi_zero_degree,
     _lens_candidate_bases,
+    _oracle_witness,
     CoverDecision,
     decide_cover,
     decide_cover_directed,
+    decide_pair,
     fiberwise_lift,
     fiberwise_quotient,
     pullback,
     torus_main_fastpath,
 )
+from conftest import chi_fraction
 
 K23 = TorusKnot(2, 3)
 K25 = TorusKnot(2, 5)
@@ -121,7 +124,7 @@ def test_pullback_euler_multiplicativity():
             M, B = cl.invariants, cl.base_orbifold()
             for C in cover_bases | set(_lens_candidate_bases(B)):
                 degs = classify_cover(C, B)
-                if chi_orb(B) == 0:  # one degree per cover slope
+                if chi_fraction(B) == 0:  # one degree per cover slope
                     admitted = {_chi_zero_degree(abs(c.p), abs(slope.p)) for c, _ in sfs if c.p}
                     admitted = [d for d in admitted if d in degs]
                 else:
@@ -213,6 +216,37 @@ def test_negative_decisions_are_shared_and_equal_fresh_ones():
         dec = decide_cover_directed(*first)
         assert dec == CoverDecision(False, reason=reason, detail=detail), (first, dec)
         assert decide_cover_directed(*second) is dec, second
+
+
+def test_decide_cover_leaves_the_decision_cache_empty():
+    decide_cover_directed.cache_clear()
+    slopes = [Slope(p, q) for p in range(-12, 13) for q in (1, 2) if gcd(p, q) == 1]
+    for K in (K23, K25, K47):
+        for a in slopes:
+            for b in slopes:
+                decide_cover(K, a, b)
+    assert decide_cover_directed.cache_info().currsize == 0
+
+
+def test_decide_pair_equals_the_two_directed_calls():
+    # every ordered pair of three knots with orbifold covers against the
+    # composition decide_cover was: a -> b, then b -> a when a -> b fails
+    for K in (K23, K25, TorusKnot(3, 4)):
+        slopes = [Slope(p, q) for p in range(-20, 21) for q in (1, 2, 3) if gcd(p, q) == 1]
+        for a in slopes:
+            for b in slopes:
+                first = decide_cover_directed(K, a, b)
+                forward, reverse = decide_pair(K, a, b)
+                assert forward == first, (K, a, b)
+                if first.covers:
+                    assert reverse is None
+                    want = first
+                else:
+                    second = decide_cover_directed(K, b, a)
+                    assert reverse == second, (K, b, a)
+                    want = second if second.covers else first
+                assert decide_cover(K, a, b) == want, (K, a, b)
+    decide_cover_directed.cache_clear()
 
 
 def test_decide_cover_lens_pair():
@@ -347,6 +381,7 @@ def test_exceptional_knot_scan_frozen():
                 assert abs(lhs) == abs(rhs)  # mirror matches flip the sign
             if c.perm_witness is not None:
                 assert c.perm_witness.degree == c.orbifold_degree
+                assert c.perm_witness.partition_system() == c.partition_system
     # an early exit that moved a pair to another obstruction shows here
     assert reasons == {
         "chi-mismatch": 169_521,
@@ -441,12 +476,31 @@ def test_witness_attached_to_composite_certificate():
     assert cert.partition_system.cover_orbifold() == Orbifold2((3, 3))
 
 
+def test_oracle_witness_realises_the_given_system():
+    # the witness's cycle types are the system's partitions; over budget
+    # there is none, and branch data no monodromy realises (the classic
+    # degree-4 exception 2+2, 2+2, 3+1) raises
+    # (2+2, 2+1+1, 4) and (2+2, 2+2, 2+2) both give S2(2,2) -> S2(2,2,4)
+    for sys in (
+        PartitionSystem(5, (2, 3, 5), ((2, 2, 1), (3, 1, 1), (5,))),
+        PartitionSystem(4, (2, 2, 4), ((2, 2), (2, 1, 1), (4,))),
+        PartitionSystem(4, (2, 2, 4), ((2, 2), (2, 2), (2, 2))),
+        PartitionSystem(2, (2, 2, 2), ((1, 1), (2,), (2,))),
+    ):
+        assert _oracle_witness(sys, 12).partition_system() == sys
+        assert _oracle_witness(sys, sys.degree - 1) is None
+    bad = PartitionSystem(4, (2, 2, 3), ((2, 2), (2, 2), (3, 1)))
+    assert _oracle_witness(bad, 3) is None
+    with pytest.raises(RuntimeError, match="no monodromy"):
+        _oracle_witness(bad, 12)
+
+
 def test_820_chi_obstruction_regression():
     # the two Seifert surgeries on the (-3,3,2) pretzel have base orbifold
     # characteristics -13/60 and -5/36; no integer ratio, so no cover
     A = parse_seifert("{-1;(3,1),(4,1),(5,2)}")
     B = parse_seifert("{-1;(2,1),(4,1),(9,2)}")
-    ca, cb = chi_orb(A.base_orbifold()), chi_orb(B.base_orbifold())
+    ca, cb = chi_fraction(A.base_orbifold()), chi_fraction(B.base_orbifold())
     assert ca == Fraction(-13, 60) and cb == Fraction(-5, 36)
     assert (ca / cb).denominator != 1 and (cb / ca).denominator != 1
     from dehncover.orbcover import classify_cover
@@ -482,7 +536,7 @@ def test_excluded_knots_are_read_off_the_tables():
             if gcd(r, s) != 1:
                 continue
             bases = [Orbifold2((r, s, n)) for n in range(2, N + 1)]
-            if any(chi_orb(B) > 0 for B in bases) or any(
+            if any(chi_fraction(B) > 0 for B in bases) or any(
                 classify_cover(C, B) and (C != B or classify_cover(C, B).finite != {1})
                 for C in bases
                 for B in bases
