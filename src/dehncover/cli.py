@@ -116,10 +116,12 @@ def cmd_invariants(args) -> int:
 
 
 def _fmt_partitions(sys) -> str:
-    cols = [
-        "+".join(str(k) for k in parts)
-        for parts in sys.partitions
-    ]
+    # unbranched parts v as v×count (v for one) before the branched parts
+    cols = []
+    for v, parts in zip(sys.base_orders, sys.partitions):
+        c = (sys.degree - sum(parts)) // v
+        unbranched = [f"{v}×{c}" if c > 1 else str(v)] if c else []
+        cols.append("+".join(unbranched + [str(k) for k in parts]))
     return f"base S2{_fmt_orders(sys.base_orders)} degree {sys.degree}: [" + " | ".join(cols) + "]"
 
 

@@ -6,8 +6,9 @@ Four tools live here:
   * the orbifold Euler characteristic / Riemann-Hurwitz degree computation,
   * the combinatorial partition condition (necessary for a cover): the
     partition systems of a cover are built by placing each of its cone orders
-    at a base point whose order it divides (at most 27 placements, whatever
-    the degree), and are listed in descending order of their partitions,
+    at a base point whose order it divides (at most 27 placements and three
+    stored branched parts, whatever the degree), listed in descending order
+    of their full partitions,
   * a permutation oracle that certifies exactly which branched covers of S^2
     orbifolds exist at a given degree by finding monodromy triples: it walks
     only the genus-0 triples of cycle types, and for each multiset of types
@@ -102,10 +103,10 @@ def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
 class PartitionSystem:
     """Branching data of a candidate cover over a 3-cone-point base.
 
-    base_orders is always padded to length 3 with 1s; partitions[i] is a
-    partition of the degree by divisors of base_orders[i].  The cone point of
-    the cover lying over a part k of the partition at base order v has order
-    v/k (dropped when equal to 1).
+    base_orders is always padded to length 3 with 1s; partitions[i] holds the
+    branched parts at base order v = base_orders[i], proper divisors k of v,
+    descending, each under a cone point of order v/k of the cover.  The
+    (degree - sum) / v unbranched parts v are left implicit (cycle_types()).
     """
 
     degree: int
@@ -116,20 +117,23 @@ class PartitionSystem:
         if len(self.base_orders) != 3 or len(self.partitions) != 3:
             raise ValueError("partition system needs exactly 3 base points (pad with 1s)")
         for v, parts in zip(self.base_orders, self.partitions):
-            if sum(parts) != self.degree:
-                raise ValueError(f"partition {parts} does not sum to {self.degree}")
-            if any(v % k for k in parts):
-                raise ValueError(f"parts {parts} must divide the base order {v}")
+            if any(not 0 < k < v or v % k for k in parts):
+                raise ValueError(f"branched parts {parts} must be proper divisors of the base order {v}")
+            rest = self.degree - sum(parts)
+            if rest < 0 or rest % v:
+                raise ValueError(f"branched parts {parts} do not fill degree {self.degree} with parts {v}")
+
+    def cycle_types(self) -> tuple[tuple[int, ...], ...]:
+        """The full partitions of the degree, the cycle types of a witness.
+        They grow with the degree; only the permutation oracle reads them."""
+        return tuple(
+            (v,) * ((self.degree - sum(parts)) // v) + parts
+            for v, parts in zip(self.base_orders, self.partitions)
+        )
 
     def branch_orders(self) -> tuple[int, ...]:
-        """Cone orders of the covering orbifold (order-1 points dropped)."""
-        out = [
-            v // k
-            for v, parts in zip(self.base_orders, self.partitions)
-            for k in parts
-            if v // k > 1
-        ]
-        return tuple(sorted(out))
+        """Cone orders of the covering orbifold."""
+        return tuple(sorted(v // k for v, parts in zip(self.base_orders, self.partitions) for k in parts))
 
     def cover_orbifold(self) -> Orbifold2:
         return Orbifold2(self.branch_orders())
@@ -144,28 +148,22 @@ def partition_systems(cover: Orbifold2, base: Orbifold2, n: int) -> list[Partiti
 
     The systems are generated from the wanted cover orders: each order w is
     placed at a padded base point whose order v it divides, where it becomes
-    the part v/w, and the rest of that point's degree is filled with
-    unbranched parts v.  With k cone points on the cover this tries 3^k
-    placements whatever n is.  The list is sorted descending by partitions.
+    the part v/w, and the rest of that point's degree must be a multiple of v,
+    made up of unbranched parts v.  With k cone points on the cover this
+    tries at most 3^k placements and stores k parts, whatever n is.  The
+    list is sorted descending by the full partitions, unbranched parts first.
     """
     base3 = base.padded(3)
     found = set()
-    for placement in product(range(3), repeat=len(cover.cone_orders)):
+    points = [[i for i in range(3) if base3[i] % w == 0] for w in cover.cone_orders]
+    for placement in product(*points):
         branched = ([], [], [])
         for w, i in zip(cover.cone_orders, placement):
-            if base3[i] % w:
-                break
             branched[i].append(base3[i] // w)
-        else:
-            combo = []
-            for v, parts in zip(base3, branched):
-                rest = n - sum(parts)
-                if rest < 0 or rest % v:
-                    break
-                combo.append(tuple(sorted(parts + [v] * (rest // v), reverse=True)))
-            else:
-                found.add(tuple(combo))
-    return [PartitionSystem(n, base3, combo) for combo in sorted(found, reverse=True)]
+        if all(n >= sum(parts) and (n - sum(parts)) % v == 0 for v, parts in zip(base3, branched)):
+            found.add(tuple(tuple(sorted(parts, reverse=True)) for parts in branched))
+    ordered = sorted(found, key=lambda combo: [(-sum(parts), parts) for parts in combo], reverse=True)
+    return [PartitionSystem(n, base3, combo) for combo in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +259,15 @@ class PermWitness:
         object.__setattr__(self, "cycle_types", types)
 
     def cover_orders(self) -> tuple[int, ...]:
-        out = []
-        for v, ctype in zip(self.base_orders, self.cycle_types):
-            out.extend(v // length for length in ctype if v // length > 1)
-        return tuple(sorted(out))
-
-    def cover_orbifold(self) -> Orbifold2:
-        return Orbifold2(self.cover_orders())
+        return self.partition_system().branch_orders()
 
     def partition_system(self) -> PartitionSystem:
+        """The system the witness realises: its cycle lengths below the base
+        orders, the branched parts."""
         return PartitionSystem(
             self.degree,
             self.base_orders,
-            self.cycle_types,
+            tuple(tuple(k for k in ctype if k < v) for v, ctype in zip(self.base_orders, self.cycle_types)),
         )
 
 
@@ -475,9 +469,6 @@ class DegreeSet:
 
     def __bool__(self) -> bool:
         return bool(self.finite) or bool(self.forms)
-
-    def degrees_up_to(self, maxd: int) -> list[int]:
-        return [d for d in range(1, maxd + 1) if d in self]
 
 
 _EMPTY = DegreeSet()

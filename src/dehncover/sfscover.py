@@ -30,9 +30,11 @@ it.  The cache keys of classify_surgery (and of the one-direction
 decide_cover_directed) are tuples of core.Slope and core.TorusKnot, which
 are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
 b~ is an integer by one divmod on the integer Euler pair
-(core.euler_pair), building no Fraction.  A certificate's permutation
-witness realises the certificate's own partition system: its cycle types
-are that system's partitions.
+(core.euler_pair), building no Fraction.  A partition system keeps only
+its branched parts and pullback folds the unbranched ones into b in one
+step, so past the oracle's degree budget nothing grows with the orbifold
+degree.  A certificate's witness, found up to that budget, realises its own
+partition system: its cycle types are the system's cycle_types().
 """
 from __future__ import annotations
 
@@ -84,17 +86,22 @@ RANK = "rank"
 # Fiberwise and pullback covers
 
 
+def _check_fiberwise_degree(M: SeifertInvariants, d: int) -> None:
+    """Raise unless d >= 1 is prime to every fiber order of M."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    for a, _ in M.fibers:
+        if gcd(d, a) != 1:
+            raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
+
+
 def fiberwise_quotient(M: SeifertInvariants, d: int) -> SeifertInvariants:
     """The base {d b; (a_i, d beta_i)} of the degree-d fiberwise cover by M.
 
     Requires gcd(d, a_i) = 1 for every fiber (otherwise the scaled pairs are
     not coprime and no such cover exists).
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    for a, _ in M.fibers:
-        if gcd(d, a) != 1:
-            raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
+    _check_fiberwise_degree(M, d)
     return SeifertInvariants(d * M.b, tuple((a, d * be) for a, be in M.fibers))
 
 
@@ -106,11 +113,7 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
     b~ comes out an integer.  Round trip: fiberwise_quotient(lift, d) is
     equivalent to M.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    for a, _ in M.fibers:
-        if gcd(d, a) != 1:
-            raise ValueError(f"gcd({d},{a}) != 1: no degree-{d} fiberwise cover")
+    _check_fiberwise_degree(M, d)
     lifted = tuple((a, (_modinv(d, a) * be) % a) for a, be in M.fibers)
     # b~ = -e(M)/d - sum beta~/alpha must come out an integer; with
     # e(M) = -num/den and sum beta~/alpha = s/den over the same den, that is
@@ -126,11 +129,12 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
 def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:
     """The pullback cover of M along the base-orbifold cover encoded by sys.
 
-    Each fiber (a, beta) sitting over the base point of order a splits into
-    one fiber (a/k, beta) per part k of that point's partition; b scales by
-    the degree.  Base points of the system with equal orders are matched to
-    M's fibers in sorted order (systems differing by which equal-order point
-    carries which partition are distinct systems).
+    Each fiber (a, beta) over the base point of order a splits into one fiber
+    (a/k, beta) per branched part k there, and each unbranched part gives a
+    regular fiber (1, beta), so b' = d b + sum beta (d - sum parts) / a, one
+    term per point.  Base points of the system with equal orders are matched
+    to M's fibers in sorted order (systems differing by which equal-order
+    point carries which partition are distinct systems).
     """
     orders = tuple(a for a, _ in M.fibers)
     sys_orders = tuple(v for v in sys.base_orders if v > 1)
@@ -138,9 +142,10 @@ def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:
         raise ValueError(
             f"partition system over S2{sys_orders} does not match base orbifold S2{orders}"
         )
-    branched = [parts for v, parts in zip(sys.base_orders, sys.partitions) if v > 1]
-    new_fibers = tuple((a // k, be) for (a, be), parts in zip(M.fibers, branched) for k in parts)
-    return SeifertInvariants(sys.degree * M.b, new_fibers)
+    d = sys.degree
+    pairs = list(zip(M.fibers, [parts for v, parts in zip(sys.base_orders, sys.partitions) if v > 1]))
+    b = d * M.b + sum(be * ((d - sum(parts)) // a) for (a, be), parts in pairs)
+    return SeifertInvariants(b, tuple((a // k, be) for (a, be), parts in pairs for k in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +191,15 @@ class CoverDecision:
 
 @lru_cache(maxsize=None)
 def _oracle_witness(sys: PartitionSystem, budget: int) -> PermWitness | None:
-    """A monodromy witness realising the partition system sys, whose
-    partitions are its permutations' cycle types; None when the degree is
-    over budget."""
+    """A monodromy witness whose cycle types are sys.cycle_types(); None
+    when the degree is over budget."""
     if sys.degree > budget:
         return None
-    witness = _witness_for_types(sys.degree, sys.base_orders, sys.partitions)
+    witness = _witness_for_types(sys.degree, sys.base_orders, sys.cycle_types())
     if witness is None:
         raise RuntimeError(
             f"table admits S2{sys.branch_orders()} -> S2{sys.base_orders} at degree "
-            f"{sys.degree} but no monodromy realises the partitions {sys.partitions}"
+            f"{sys.degree} but no monodromy realises the partitions {sys.cycle_types()}"
         )
     return witness
 

@@ -75,7 +75,18 @@ def test_cover_over_a_chi_zero_base(capsys):
     code, out, _ = run(capsys, "cover", 2, 3, 48, 7, 12, 1)
     assert code == 0
     assert out.splitlines()[0] == "COVERS degree 4 (fiberwise 1 × orbifold 4)"
-    assert "partitions: base S2(2,3,6) degree 4: [2+2 | 3+1 | 3+1]" in out
+    assert "partitions: base S2(2,3,6) degree 4: [2×2 | 3+1 | 3+1]" in out
+
+
+def test_cover_at_an_orbifold_degree_past_five_million(capsys):
+    # the partition system prints its unbranched parts as v×count, so the
+    # certificate stays short however large the orbifold degree is
+    code, out, _ = run(capsys, "cover", 2, 3, 99996, 16667, 12, 1)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "COVERS degree 3423871373 (fiberwise 641 × orbifold 5341453)"
+    (partitions,) = [line for line in lines if line.startswith("  partitions: ")]
+    assert len(partitions) < 100, partitions[:200]
 
 
 def test_cover_found_on_the_reverse_leg(capsys):

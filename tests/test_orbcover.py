@@ -113,7 +113,8 @@ def test_riemann_hurwitz_matches_the_fraction_definition():
 def test_partition_system_worked_example():
     systems = partition_systems(S2((3, 3)), S2((2, 3, 3)), 4)
     assert len(systems) == 1
-    assert systems[0].partitions == ((2, 2), (3, 1), (3, 1))
+    assert systems[0].partitions == ((), (1,), (1,))
+    assert systems[0].cycle_types() == ((2, 2), (3, 1), (3, 1))
     assert systems[0].cover_orbifold() == S2((3, 3))
 
 
@@ -124,19 +125,23 @@ def test_partition_system_multiplicity():
 def test_partition_system_trivial():
     systems = partition_systems(S2((5, 7, 9)), S2((5, 7, 9)), 1)
     assert len(systems) == 1
-    assert systems[0].partitions == ((1,), (1,), (1,))
+    assert systems[0].partitions == systems[0].cycle_types() == ((1,), (1,), (1,))
 
 
 def _partition_systems_reference(cover, base, n):
     """Product of every divisor partition at each base point, filtered by
-    the branch orders it produces."""
+    the branch orders it produces: the full partitions of each system."""
     base3 = base.padded(3)
     systems = []
     for combo in product(*[divisor_partitions(n, v) for v in base3]):
         branch = sorted(v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1)
         if tuple(branch) == cover.cone_orders:
-            systems.append(PartitionSystem(n, base3, combo))
+            systems.append(combo)
     return systems
+
+
+def _expanded(systems):
+    return [sys.cycle_types() for sys in systems]
 
 
 def test_partition_systems_match_reference_small():
@@ -149,7 +154,7 @@ def test_partition_systems_match_reference_small():
                 for cover in combinations_with_replacement(divs, j):
                     for n in range(1, 9):
                         key = (S2(cover), S2(base), n)
-                        assert partition_systems(*key) == _partition_systems_reference(*key), key
+                        assert _expanded(partition_systems(*key)) == _partition_systems_reference(*key), key
 
 
 def test_partition_systems_match_reference_spherical():
@@ -159,12 +164,37 @@ def test_partition_systems_match_reference_spherical():
     checked = 0
     for base in [(2, 3, 3), (2, 3, 4), (2, 3, 5)]:
         for cover in covers:
-            for n in classify_cover(S2(cover), S2(base)).degrees_up_to(60):
+            degs = classify_cover(S2(cover), S2(base))
+            for n in [n for n in range(1, 61) if n in degs]:
                 key = (S2(cover), S2(base), n)
-                systems = partition_systems(*key)
+                systems = _expanded(partition_systems(*key))
                 assert systems and systems == _partition_systems_reference(*key), key
                 checked += 1
     assert checked == 18
+
+
+def test_partition_system_size_does_not_grow_with_the_degree():
+    # the self-covers of S^2(2,3,6) at a degree past five million store the
+    # branched parts only, at most three per point, and name the same cover
+    B = S2((2, 3, 6))
+    systems = partition_systems(B, B, 5_341_453)
+    assert systems
+    for sys in systems:
+        assert all(len(parts) <= 3 for parts in sys.partitions), sys
+        assert sys.cover_orbifold() == B
+
+
+def test_partition_system_checks_its_branched_parts():
+    ok = PartitionSystem(4, (2, 3, 6), ((), (1,), (3, 1)))
+    assert ok.cycle_types() == ((2, 2), (3, 1), (3, 1))
+    for partitions, message in [
+        (((2,), (1,), (3, 1)), "proper divisors"),  # a part equal to its base order
+        (((), (1,), (4,)), "proper divisors"),  # a part not dividing it
+        (((), (1,), (3, 2, 1)), "do not fill"),  # parts summing past the degree
+        (((), (1,), (2,)), "do not fill"),  # a remainder of 2, not a multiple of 6
+    ]:
+        with pytest.raises(ValueError, match=message):
+            PartitionSystem(4, (2, 3, 6), partitions)
 
 
 # --- permutation oracle
@@ -174,7 +204,8 @@ def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
     ident, rot = (0, 1, 2), (1, 2, 0)
     witness = PermWitness(3, (1, 3, 3), (ident, rot, perm_inverse(rot)))
     assert witness.cycle_types == ((1, 1, 1), (3,), (3,))
-    assert witness.partition_system().partitions == witness.cycle_types
+    assert witness.partition_system().partitions == ((), (), ())
+    assert witness.partition_system().cycle_types() == witness.cycle_types
     assert witness.cover_orders() == ()
     assert "cycle_types" not in repr(witness)
     # product not the identity; a 3-cycle at an order-2 point; intransitive
@@ -298,7 +329,7 @@ def test_witness_search_matches_reference():
                 if witness is not None:
                     found += 1
                     assert witness.base_orders == base3
-                    assert PermWitness(n, base3, witness.perms).partition_system().partitions == types
+                    assert PermWitness(n, base3, witness.perms).partition_system().cycle_types() == types
                     expected.add(witness.cover_orders())
             oracle = {orb.cone_orders for orb, _ in perm_cover_oracle(S2(base3), n)}
             assert oracle == expected, (base3, n)
@@ -313,7 +344,7 @@ def test_triple_cache_serves_every_order_and_base_from_one_search():
     for base3 in ((4, 4, 4), (4, 8, 12)):
         for order in permutations(types):
             witness = _witness_for_types(4, base3, order)
-            assert witness.partition_system().partitions == order
+            assert witness.partition_system().cycle_types() == order
             assert witness.base_orders == base3
     info = _triple_for_types.cache_info()
     assert (info.misses, info.hits) == (1, 11)
@@ -333,11 +364,15 @@ def test_oracle_checks_the_fourth_summary_omitted_row():
 
 
 def test_classify_examples():
-    assert classify_cover(S2((9, 9, 9)), S2((2, 3, 9))).degrees_up_to(20) == [12]
+    def degrees_up_to_20(cover, base):
+        degs = classify_cover(S2(cover), S2(base))
+        return [d for d in range(1, 21) if d in degs]
+
+    assert degrees_up_to_20((9, 9, 9), (2, 3, 9)) == [12]
     dset = classify_cover(S2((3, 3, 3)), S2((2, 3, 6)))
     assert 14 in dset and 2 in dset and 3 not in dset
-    assert classify_cover(S2((2, 3, 3)), S2((2, 3, 5))).degrees_up_to(20) == [5]
-    assert classify_cover(S2((2, 2, 3)), S2((2, 3, 5))).degrees_up_to(20) == [10]
+    assert degrees_up_to_20((2, 3, 3), (2, 3, 5)) == [5]
+    assert degrees_up_to_20((2, 2, 3), (2, 3, 5)) == [10]
 
 
 def test_classify_rejects_many_cone_points():
@@ -359,7 +394,7 @@ def classified_rows():
         for C in covers:
             degs = classify_cover(C, B)
             if degs:
-                rows.extend((C, B, n) for n in degs.degrees_up_to(60))
+                rows.extend((C, B, n) for n in range(1, 61) if n in degs)
     return bases, rows
 
 
@@ -405,7 +440,8 @@ def test_classify_composition_closure():
     nonempty = []
     for A in orbs:
         for B in orbs:
-            ds = classify_cover(A, B).degrees_up_to(maxdeg)
+            degs = classify_cover(A, B)
+            ds = [d for d in range(1, maxdeg + 1) if d in degs]
             if ds:
                 nonempty.append((A, B, ds))
     by_cover = {}

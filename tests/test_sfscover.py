@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
@@ -44,6 +44,11 @@ K23 = TorusKnot(2, 3)
 K25 = TorusKnot(2, 5)
 K47 = TorusKnot(4, 7)
 K57 = TorusKnot(5, 7)
+
+# A partition system written with every part, unbranched ones included.  Its
+# repr is the one a PartitionSystem had when it stored them all, which the
+# pinned scan digest hashes.
+_FullPartitions = namedtuple("PartitionSystem", "degree base_orders partitions")
 
 
 # --- fiberwise covers
@@ -139,6 +144,40 @@ def test_pullback_euler_multiplicativity():
                         assert euler_number(P) == d * euler_number(M)
                         checked[d > 1] += 1
     assert checked[True] > 50 and checked[False] > 100, checked
+
+
+def _pullback_reference(M, sys):
+    """The pullback written out part by part: one fiber (a/k, beta) for each
+    part k of each full partition, so (1, beta) for each unbranched part."""
+    full = [parts for v, parts in zip(sys.base_orders, sys.cycle_types()) if v > 1]
+    fibers = tuple((a // k, be) for (a, be), parts in zip(M.fibers, full) for k in parts)
+    return SeifertInvariants(sys.degree * M.b, fibers)
+
+
+def test_pullback_matches_the_part_by_part_reference():
+    # every system of every cover C -> B at degree n <= 60, with B and C the
+    # base orbifolds of the SFS surgeries in the exceptional scan box (plus
+    # the lens candidate bases), pulled back from each distinct surgery over
+    # B: folding the unbranched parts into b at once changes nothing.  A C
+    # with an order dividing no order of B has no system and is skipped.
+    checked = Counter()
+    for r, s in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
+        K = TorusKnot(r, s)
+        slopes = [Slope(p, q) for p in range(-36, 37) for q in range(1, 5) if gcd(p, q) == 1]
+        by_base = {}
+        for cl in (classify_surgery(K, sl) for sl in slopes):
+            if cl.kind == SFS:
+                by_base.setdefault(cl.base_orbifold(), set()).add(cl.invariants)
+        for B, manifolds in by_base.items():
+            for C in set(by_base) | set(_lens_candidate_bases(B)):
+                if any(all(v % w for v in B.cone_orders) for w in C.cone_orders):
+                    continue
+                for n in range(1, 61):
+                    for sys in partition_systems(C, B, n):
+                        for M in manifolds:
+                            assert pullback(M, sys) == _pullback_reference(M, sys), (M, sys)
+                        checked[n > 1] += 1
+    assert (checked[True], checked[False]) == (889, 373), checked
 
 
 def test_pullback_mismatched_system():
@@ -360,9 +399,11 @@ def test_exceptional_knot_scan_frozen():
         reasons.update(dec.reason for dec in decisions)
         for dec in decisions:
             cert = dec.certificate
+            sys = cert and cert.partition_system
             digest.update(repr((
                 dec.covers, dec.degree, dec.reason,
-                cert and cert.partition_system, cert and cert.intermediate,
+                sys and _FullPartitions(sys.degree, sys.base_orders, sys.cycle_types()),
+                cert and cert.intermediate,
             )).encode())
         certs = [dec.certificate for dec in decisions if dec.covers]
         assert len(certs) == want_total, (r, s, len(certs))
@@ -441,7 +482,8 @@ def test_chi_zero_base_matches_a_degree_brute_force():
     dec = decide_cover_directed(K23, Slope(48, 7), Slope(12, 1))
     cert = dec.certificate
     assert (cert.total_degree, cert.fiberwise_degree, cert.orbifold_degree) == (4, 1, 4)
-    assert cert.partition_system.partitions == ((2, 2), (3, 1), (3, 1))
+    assert cert.partition_system.partitions == ((), (1,), (3, 1))
+    assert cert.partition_system.cycle_types() == ((2, 2), (3, 1), (3, 1))
     assert cert.intermediate == parse_seifert("{0;(2,1),(3,2),(6,1)}")
     assert cert.perm_witness.cover_orders() == (2, 3, 6)
 
@@ -472,24 +514,26 @@ def test_witness_attached_to_composite_certificate():
     cert = decide_cover(K23, Slope(5, 1), Slope(45, 7)).certificate
     assert cert.perm_witness is not None
     assert cert.perm_witness.degree == 4
-    assert cert.perm_witness.cover_orbifold() == Orbifold2((3, 3))
+    assert cert.perm_witness.cover_orders() == (3, 3)
     assert cert.partition_system.cover_orbifold() == Orbifold2((3, 3))
 
 
 def test_oracle_witness_realises_the_given_system():
-    # the witness's cycle types are the system's partitions; over budget
+    # the witness's cycle types are the system's cycle_types(); over budget
     # there is none, and branch data no monodromy realises (the classic
     # degree-4 exception 2+2, 2+2, 3+1) raises
-    # (2+2, 2+1+1, 4) and (2+2, 2+2, 2+2) both give S2(2,2) -> S2(2,2,4)
+    # (2+2, 2+1+1, 4) and (2+2, 2+2, 2+2) both give S2(2,2) -> S2(2,2,4);
+    # the systems name only their branched parts
     for sys in (
-        PartitionSystem(5, (2, 3, 5), ((2, 2, 1), (3, 1, 1), (5,))),
-        PartitionSystem(4, (2, 2, 4), ((2, 2), (2, 1, 1), (4,))),
-        PartitionSystem(4, (2, 2, 4), ((2, 2), (2, 2), (2, 2))),
-        PartitionSystem(2, (2, 2, 2), ((1, 1), (2,), (2,))),
+        PartitionSystem(5, (2, 3, 5), ((1,), (1, 1), ())),
+        PartitionSystem(4, (2, 2, 4), ((), (1, 1), ())),
+        PartitionSystem(4, (2, 2, 4), ((), (), (2, 2))),
+        PartitionSystem(2, (2, 2, 2), ((1, 1), (), ())),
     ):
         assert _oracle_witness(sys, 12).partition_system() == sys
+        assert _oracle_witness(sys, 12).cycle_types == sys.cycle_types()
         assert _oracle_witness(sys, sys.degree - 1) is None
-    bad = PartitionSystem(4, (2, 2, 3), ((2, 2), (2, 2), (3, 1)))
+    bad = PartitionSystem(4, (2, 2, 3), ((), (), (1,)))
     assert _oracle_witness(bad, 3) is None
     with pytest.raises(RuntimeError, match="no monodromy"):
         _oracle_witness(bad, 12)
