@@ -438,6 +438,38 @@ def test_exceptional_knot_scan_frozen():
     assert digest.hexdigest()[:16] == "785e51891c318bd7"
 
 
+def test_decide_pair_exceptional_box_frozen():
+    # decide_pair's (forward, reverse) over every ordered pair of distinct
+    # slopes of the exceptional scan box, pinned by one digest in scan order,
+    # so an early exit in decide_pair cannot move a pair
+    import hashlib
+
+    def key(dec):
+        if dec is None:
+            return None
+        cert = dec.certificate
+        sys = cert and cert.partition_system
+        return (
+            dec.covers, dec.degree, dec.reason,
+            sys and _FullPartitions(sys.degree, sys.base_orders, sys.cycle_types()),
+            cert and cert.intermediate,
+        )
+
+    slopes = [Slope(p, q) for p in range(-36, 37) for q in range(1, 5) if gcd(p, q) == 1]
+    digest = hashlib.sha256()
+    pairs = 0
+    for r, s in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5)):
+        K = TorusKnot(r, s)
+        for a in slopes:
+            for b in slopes:
+                if a != b:
+                    forward, reverse = decide_pair(K, a, b)
+                    digest.update(repr((key(forward), key(reverse))).encode())
+                    pairs += 1
+    assert pairs == 185_280
+    assert digest.hexdigest()[:16] == "fe9d59502eb424bf"
+
+
 def test_chi_zero_base_matches_a_degree_brute_force():
     # T(2,3) with n = 6 fibers over S^2(2,3,6), chi = 0, whose self-covers
     # have every Loeschian degree.  The decision tries the one degree of
