@@ -37,6 +37,7 @@ from .surgery import LENS, SFS, classify_surgery, find_surgery_slopes
 from .orbcover import (
     _NEG_SPORADIC,
     BudgetExceededError,
+    _covers_by_degree,
     oracle_covers,
     table_covers,
     verify_pair,
@@ -79,6 +80,11 @@ SLOPE_SCAN_BOUNDS = (60, 8)
 # of them per record whatever the cusp shape (an area-1 lattice); a bound
 # past this many is refused rather than left to run for minutes
 MAX_SHORT_SLOPES = 10**6
+
+# orb-covers --table over a chi = 0 base lists a quadratic-form family of
+# degrees, reading the table once per degree (about 70 us each, 7 s at the
+# limit); a --max-degree past this is refused rather than left to run
+MAX_FAMILY_DEGREE = 10**5
 
 
 def _fmt_orders(orders) -> str:
@@ -178,8 +184,15 @@ def cmd_orb_covers(args) -> int:
         raise ValueError("--max-degree must be >= 1")
     use_oracle = args.source in ("oracle", "both")
     use_table = args.source in ("table", "both")
+    degrees = range(1, args.max_degree + 1)  # the oracle stops past its budget
+    if not use_oracle and base.chi[0]:
+        # chi fixes each cover's degree: walk only the degrees with table rows
+        degrees = sorted(n for n in _covers_by_degree(base.cone_orders) if n <= args.max_degree)
+    elif not use_oracle and args.max_degree > MAX_FAMILY_DEGREE:
+        raise ValueError(f"--max-degree {args.max_degree:,} over {base} (chi = 0) would list its "
+                         f"covers degree by degree; the limit is {MAX_FAMILY_DEGREE:,}")
     rows = []
-    for n in range(1, args.max_degree + 1):
+    for n in degrees:
         oracle_set = set()
         multicone = set()
         if use_oracle:

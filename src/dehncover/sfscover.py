@@ -417,9 +417,21 @@ def decide_pair(
     cached.  Returns (forward, reverse): forward decides a -> b, and
     reverse decides b -> a, or is None when forward covers and b -> a was
     not asked.
+
+    Two distinct SFS surgeries with p != 0 pass every check before
+    Riemann-Hurwitz in _decide_directed, so when its degree is no positive
+    integer either way, both directions are settled here as chi-mismatch
+    (most pairs of a generic knot end so).  Every other pair, a chi = 0
+    pair included, goes through _decide_directed.
     """
     ca = classify_surgery(K, slope_a)
     cb = classify_surgery(K, slope_b)
+    if (
+        ca.kind == SFS and cb.kind == SFS and slope_a != slope_b and slope_a.p and slope_b.p
+        and riemann_hurwitz_degree(ca.orbifold, cb.orbifold) is None
+        and riemann_hurwitz_degree(cb.orbifold, ca.orbifold) is None
+    ):
+        return _NO_CHI_MISMATCH, _NO_CHI_MISMATCH
     forward = _decide_directed(slope_a, slope_b, ca, cb, budget)
     if forward.covers:
         return forward, None

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -132,6 +133,29 @@ def test_orb_covers_budget_exceeded(capsys):
     code, _, err = run(capsys, "--budget", 5, "orb-covers", "--base", "2,3,7", "--max-degree", 8, "--oracle")
     assert code == 3
     assert "budget" in err
+
+
+def test_orb_covers_table_walks_only_the_degrees_with_rows(capsys):
+    # chi fixes each cover's degree; walking every degree up to 10^9, at
+    # about 2.4 us each, took some 40 minutes
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "orb-covers", "--base", "2,3,7", "--max-degree", 10**9, "--table")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "(2,3,7)\t1\ttable\n(3,3,7)\t8\ttable\n(2,7,7)\t9\ttable\n"
+
+
+def test_orb_covers_table_refuses_a_long_chi_zero_family(capsys):
+    # S^2(2,3,6) has covers at every Loeschian degree
+    code, out, _ = run(capsys, "orb-covers", "--base", "2,3,6", "--max-degree", 12, "--table")
+    assert code == 0
+    assert [line.split("\t")[1] for line in out.splitlines() if line.startswith("(2,3,6)")] == [
+        "1", "3", "4", "7", "9", "12"]
+    code, out, err = run(capsys, "orb-covers", "--base", "2,3,6", "--max-degree", cli.MAX_FAMILY_DEGREE + 1,
+                         "--table")
+    assert code == 1 and out == ""
+    assert err == ("error: --max-degree 100,001 over S2(2,3,6) (chi = 0) would list its covers "
+                   "degree by degree; the limit is 100,000\n")
 
 
 def test_verify_tables_usage_error(capsys):
