@@ -185,12 +185,13 @@ def cmd_orb_covers(args) -> int:
     use_oracle = args.source in ("oracle", "both")
     use_table = args.source in ("table", "both")
     degrees = range(1, args.max_degree + 1)  # the oracle stops past its budget
-    if not use_oracle and base.chi[0]:
-        # chi fixes each cover's degree: walk only the degrees with table rows
-        degrees = sorted(n for n in _covers_by_degree(base.cone_orders) if n <= args.max_degree)
-    elif not use_oracle and args.max_degree > MAX_FAMILY_DEGREE:
-        raise ValueError(f"--max-degree {args.max_degree:,} over {base} (chi = 0) would list its "
-                         f"covers degree by degree; the limit is {MAX_FAMILY_DEGREE:,}")
+    if not use_oracle:
+        if base.chi[0]:
+            # chi fixes each cover's degree: walk only the degrees with table rows
+            degrees = sorted(n for n in _covers_by_degree(base.cone_orders) if n <= args.max_degree)
+        elif args.max_degree > MAX_FAMILY_DEGREE:
+            raise ValueError(f"--max-degree {args.max_degree:,} over {base} (chi = 0) would list its "
+                             f"covers degree by degree; the limit is {MAX_FAMILY_DEGREE:,}")
     rows = []
     for n in degrees:
         oracle_set = set()

@@ -26,7 +26,11 @@ detail does not depend on the pair is one shared module-level constant, so
 a pair ruled out early builds no object.  decide_pair decides a -> b and,
 when that does not cover, b -> a, from one classify_surgery lookup per slope
 and with no decision cache; decide_cover and the cover command go through
-it.  The cache keys of classify_surgery (and of the one-direction
+it.  Two distinct SFS surgeries with p != 0 pass every check that comes
+before Riemann-Hurwitz, so when its degree is no positive integer either
+way, decide_pair answers the shared chi-mismatch for both directions
+without running either (about 95% of a generic-scan round's pairs end so).
+The cache keys of classify_surgery (and of the one-direction
 decide_cover_directed) are tuples of core.Slope and core.TorusKnot, which
 are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
 b~ is an integer by one divmod on the integer Euler pair

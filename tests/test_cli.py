@@ -136,8 +136,8 @@ def test_orb_covers_budget_exceeded(capsys):
 
 
 def test_orb_covers_table_walks_only_the_degrees_with_rows(capsys):
-    # chi fixes each cover's degree; walking every degree up to 10^9, at
-    # about 2.4 us each, took some 40 minutes
+    # chi fixes each cover's degree, so 10^9 reads three degrees, not every
+    # degree up to it (some 40 minutes at about 2.4 us each)
     start = time.perf_counter()
     code, out, _ = run(capsys, "orb-covers", "--base", "2,3,7", "--max-degree", 10**9, "--table")
     assert time.perf_counter() - start < 1.0
