@@ -14,9 +14,11 @@ Four tools live here:
     only the genus-0 triples of cycle types, and for each multiset of types
     it pins the first permutation and builds the second point by point,
     cutting a branch as soon as the second or the product closes a cycle, or
-    grows a path, that the types rule out.  The answer, a triple or None,
-    is cached per degree and multiset, so bases that share a typeset share
-    one search, and
+    grows a path, that the types rule out, and trying one image per class of
+    the pinned permutation's centralizer on the cycles the branch has not
+    touched (S^2(2,3,5) at degree 60 takes milliseconds).  The answer, a
+    triple or None, is cached per degree and multiset, so bases that share a
+    typeset share one search, and
   * the closed-form classification tables, split by the sign of the orbifold
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
@@ -80,14 +82,16 @@ def divisors(v: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n into parts dividing v, parts descending."""
+def _partition_table(n: int, v: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+    """Each partition of n into parts dividing v, parts descending, as the
+    row (partition, its number of parts, the cone orders v // k of a cover
+    above its branched parts k < v)."""
     divs = divisors(v)[::-1]
     out = []
 
     def rec(remaining, maxpart, acc):
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append((tuple(acc), len(acc), tuple(v // k for k in acc if k < v)))
             return
         for d in divs:
             if d <= maxpart and d <= remaining:
@@ -97,6 +101,11 @@ def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, [])
     return tuple(out)
+
+
+def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n into parts dividing v, parts descending."""
+    return tuple(row[0] for row in _partition_table(n, v))
 
 
 @dataclass(frozen=True)
@@ -233,9 +242,10 @@ def perms_transitive(perms, n: int) -> bool:
 class PermWitness:
     """Monodromy witness of a branched cover of S^2 orbifolds.
 
-    The three permutations are aligned with the padded base orders; their
-    product (applied left to right) is the identity, the cycle lengths of
-    each divide the matching base order, and together they act transitively.
+    The three permutations are aligned with the padded base orders; each is
+    a rearrangement of range(degree), their product (applied left to right)
+    is the identity, the cycle lengths of each divide the matching base
+    order, and together they act transitively.
     Every witness is checked when built.  cycle_types holds the cycle type
     of each permutation, taken once by that check; it is derived from perms,
     so equality, hashing and repr leave it out.
@@ -248,7 +258,10 @@ class PermWitness:
 
     def __post_init__(self):
         sa, sb, sc = self.perms
-        if perm_mul(perm_mul(sa, sb), sc) != tuple(range(self.degree)):
+        points = list(range(self.degree))
+        if sorted(sa) != points or sorted(sb) != points or sorted(sc) != points:
+            raise ValueError(f"a monodromy permutation is not a rearrangement of range({self.degree})")
+        if list(map(sc.__getitem__, map(sb.__getitem__, sa))) != points:
             raise ValueError("monodromy product is not the identity")
         types = tuple(cycle_type(s) for s in self.perms)
         for v, ctype in zip(self.base_orders, types):
@@ -298,21 +311,54 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
 
     The types are rotated so that the largest conjugacy class comes first (a
     rotation keeps the product the identity), and that permutation a is
-    pinned to its canonical representative: every solution conjugates onto
-    it.  The next one, b, is built point by point, trying every unused image
-    j for b(i); the product m = a*b (m(x) = b(a(x))) grows with it, and b is
-    next assigned at a(j) when that point is open, which extends the path of
-    m ending at j.  The last permutation is c = m^-1, so m must have the
-    third cycle type.  A branch is cut as soon as b or m closes a cycle of a
-    length its type no longer needs, or grows a path longer than the longest
-    cycle it still needs.  Only partial assignments that cannot be completed
-    are cut, so None means that no transitive triple exists; transitivity of
-    <a, b> is tested at the leaves.
+    pinned to its canonical representative, its cycles on consecutive
+    points, longest first: every solution conjugates onto it.  The next one,
+    b, is built point by point, trying the unused images j for b(i) in
+    ascending order; the product m = a*b (m(x) = b(a(x))) grows with it, and
+    b is next assigned at a(j) when that point is open, which extends the
+    path of m ending at j.  The last permutation is c = m^-1, so m must have
+    the third cycle type.  A branch is cut as soon as b or m closes a cycle
+    of a length its type no longer needs, or grows a path longer than the
+    longest cycle it still needs.
+
+    Pinning a leaves its centralizer C(a) free, and the search breaks that
+    symmetry too.  Call a cycle of a touched when one of its points is in
+    the domain or the image of the partial b; the cycle of i counts as
+    touched.  An image j on an untouched cycle is tried only when j is the
+    first point of its cycle and no untouched cycle of its length has been
+    tried at this node.
+
+    Lemma.  If the partial b has a completion with b(i) = j, j on an
+    untouched cycle, then it has one with b(i) = j', the first point of the
+    first untouched cycle of the same length.
+
+    Proof.  Some g in C(a) rotates j's cycle and swaps it with that of j'
+    (or rotates it alone, when they are the same cycle), maps j to j', and
+    fixes every other point, those of the touched cycles among them.
+    Conjugating the completed triple (a, b, c) by g gives (a, g b g^-1,
+    g c g^-1): it keeps a, keeps every value of the partial b (its domain
+    and image, and i, lie on touched cycles, which g fixes), takes i to j'
+    in place of j, and has the same cycle types, product the identity and
+    transitivity, as conjugation preserves each.
+
+    So every cut removes only partial assignments that cannot be completed,
+    or that another kept branch completes, and None means that no
+    transitive triple exists; transitivity of <a, b> is tested at the
+    leaves.  The kept j' is the lowest point of its class, so no call meets
+    its first solution later than the search without this rule.
     """
     sizes = [conjugacy_class_size(n, t) for t in types]
     k = max(range(3), key=sizes.__getitem__)
     a = canonical_perm(n, types[k])
     a_inv = perm_inverse(a)
+    # start[p] names the cycle of a through p by its first point, and
+    # touch[start] counts that cycle's points in the domain and image of b,
+    # plus one while its point is the open i
+    start, clen = [], []
+    for length in sorted(types[k], reverse=True):
+        start += [len(start)] * length
+        clen += [length] * length
+    touch = [0] * n
     b_head, b_tail, b_size, b_need, b_lengths = _open_paths(n, types[(k + 1) % 3])
     m_head, m_tail, m_size, m_need, m_lengths = _open_paths(n, types[(k + 2) % 3])
     b = [-1] * n
@@ -325,9 +371,19 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
         hb, hm = b_head[i], m_head[x]
         b_longest = next(length for length in b_lengths if b_need[length])
         m_longest = next(length for length in m_lengths if m_need[length])
+        si = start[i]
+        touch[si] += 1
+        tried = 0  # the length of the untouched cycle tried here, if any
         for j in range(n):
             if used[j]:
                 continue
+            sj = start[j]
+            if not touch[sj]:
+                # the cycles of one length are consecutive, so one length
+                # at a time is open
+                if j != sj or clen[j] == tried:
+                    continue
+                tried = clen[j]
             if hb == j:
                 if not b_need[b_size[j]]:
                     continue
@@ -352,6 +408,7 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
                 m_size[hm] += m_size[j]
             b[i] = j
             used[j] = True
+            touch[sj] += 1
             if placed + 1 == n:
                 if perms_transitive((a, b), n):
                     return True
@@ -359,6 +416,7 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
                 return True
             b[i] = -1
             used[j] = False
+            touch[sj] -= 1
             if hb == j:
                 b_need[b_size[j]] += 1
             else:
@@ -369,6 +427,7 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
             else:
                 m_size[hm] -= m_size[j]
                 m_tail[hm], m_head[tm] = x, j
+        touch[si] -= 1
         return False
 
     if not extend(0, 0):
@@ -413,8 +472,10 @@ def perm_cover_oracle(
 
     The typesets (one divisor partition of n per base point) are walked in
     product order, visiting only those with n + 2 cycles: the third point's
-    partitions are indexed by length.  A typeset whose cover orders, which
-    the parts alone determine, already have a witness is skipped; the rest
+    partitions are indexed by length.  Each partition comes with its length
+    and the cover orders above it, read from the cached _partition_table of
+    its (degree, point order), so the walk derives neither per typeset.  A
+    typeset whose cover orders already have a witness is skipped; the rest
     go to _witness_for_types, which searches each multiset of types once and
     caches the answer, so a multiset that failed, here or for another base,
     is not searched again.
@@ -425,15 +486,19 @@ def perm_cover_oracle(
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
     va, vb, vc = base3
+    rows_b = _partition_table(n, vb)
     third: dict[int, list] = {}
-    for tc in divisor_partitions(n, vc):
-        third.setdefault(len(tc), []).append((tc, [vc // k for k in tc if k < vc]))
+    for tc, length, orders_c in _partition_table(n, vc):
+        third.setdefault(length, []).append((tc, orders_c))
     found: dict[tuple[int, ...], PermWitness] = {}
-    for ta in divisor_partitions(n, va):
-        orders_a = [va // k for k in ta if k < va]
-        for tb in divisor_partitions(n, vb):
-            orders_ab = orders_a + [vb // k for k in tb if k < vb]
-            for tc, orders_c in third.get(n + 2 - len(ta) - len(tb), ()):
+    for ta, length_a, orders_a in _partition_table(n, va):
+        want = n + 2 - length_a
+        for tb, length_b, orders_b in rows_b:
+            rows_c = third.get(want - length_b)
+            if rows_c is None:
+                continue
+            orders_ab = orders_a + orders_b
+            for tc, orders_c in rows_c:
                 orders = tuple(sorted(orders_ab + orders_c))
                 if orders in found:
                     continue
@@ -629,16 +694,13 @@ def _covers_by_degree(base: tuple[int, ...]) -> dict:
     if len(base) > 3:
         raise ValueError("classification applies to orbifolds with <= 3 cone points")
     scale = lcm(*base)
-
-    def chi(orders):
-        return 2 * scale - sum(scale - scale // m for m in orders)
-
-    cb = chi(base)
     divs = sorted({d for v in base for d in divisors(v) if d > 1})
+    drop = {d: scale - scale // d for d in divs}  # what a cone point of order d takes off chi
+    cb = 2 * scale - sum(map(drop.__getitem__, base))
     out: dict = {}
     for k in range(4):
         for cover in combinations_with_replacement(divs, k):
-            cc = chi(cover)
+            cc = 2 * scale - sum(map(drop.__getitem__, cover))
             if cb:
                 n, rem = divmod(cc, cb)
                 if rem or n < 1 or n not in _classify_orders(cover, base):

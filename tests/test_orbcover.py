@@ -3,16 +3,18 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from dehncover.core import Orbifold2, is_loeschian, is_two_square
 from dehncover.orbcover import (
+    _SUMMARY_OMITS,
     UNCONSTRAINED,
     BudgetExceededError,
     PartitionSystem,
     PermWitness,
+    _open_paths,
     _triple_for_types,
     _witness_for_types,
     canonical_perm,
@@ -208,12 +210,15 @@ def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
     assert witness.partition_system().cycle_types() == witness.cycle_types
     assert witness.cover_orders() == ()
     assert "cycle_types" not in repr(witness)
-    # product not the identity; a 3-cycle at an order-2 point; intransitive
-    for base3, perms in [((1, 3, 3), (ident, rot, rot)),
-                         ((1, 2, 3), (ident, rot, perm_inverse(rot))),
-                         ((1, 1, 1), (ident, ident, ident))]:
+    # product not the identity; a 3-cycle at an order-2 point; intransitive;
+    # an entry below 0, which indexing would wrap; an entry past the degree
+    for degree, base3, perms in [(3, (1, 3, 3), (ident, rot, rot)),
+                                 (3, (1, 2, 3), (ident, rot, perm_inverse(rot))),
+                                 (3, (1, 1, 1), (ident, ident, ident)),
+                                 (2, (2, 1, 2), ((-2, 1), (0, 1), (0, 1))),
+                                 (3, (1, 3, 3), (ident, (1, 2, 3), (2, 0, 1)))]:
         with pytest.raises(ValueError):
-            PermWitness(3, base3, perms)
+            PermWitness(degree, base3, perms)
 
 
 def test_oracle_finds_sporadic_cover():
@@ -348,6 +353,117 @@ def test_triple_cache_serves_every_order_and_base_from_one_search():
             assert witness.base_orders == base3
     info = _triple_for_types.cache_info()
     assert (info.misses, info.hits) == (1, 11)
+
+
+def _triple_for_types_unpruned(n, types):
+    """The search of _triple_for_types without the centralizer rule: every
+    unused image j is tried for b(i)."""
+    sizes = [conjugacy_class_size(n, t) for t in types]
+    k = max(range(3), key=sizes.__getitem__)
+    a = canonical_perm(n, types[k])
+    a_inv = perm_inverse(a)
+    b_head, b_tail, b_size, b_need, b_lengths = _open_paths(n, types[(k + 1) % 3])
+    m_head, m_tail, m_size, m_need, m_lengths = _open_paths(n, types[(k + 2) % 3])
+    b = [-1] * n
+    used = [False] * n
+
+    def extend(i: int, placed: int) -> bool:
+        x = a_inv[i]
+        hb, hm = b_head[i], m_head[x]
+        b_longest = next(length for length in b_lengths if b_need[length])
+        m_longest = next(length for length in m_lengths if m_need[length])
+        for j in range(n):
+            if used[j]:
+                continue
+            if hb == j:
+                if not b_need[b_size[j]]:
+                    continue
+            elif b_size[hb] + b_size[j] > b_longest:
+                continue
+            if hm == j:
+                if not m_need[m_size[j]]:
+                    continue
+            elif m_size[hm] + m_size[j] > m_longest:
+                continue
+            if hb == j:
+                b_need[b_size[j]] -= 1
+            else:
+                tb = b_tail[j]
+                b_tail[hb], b_head[tb] = tb, hb
+                b_size[hb] += b_size[j]
+            if hm == j:
+                m_need[m_size[j]] -= 1
+            else:
+                tm = m_tail[j]
+                m_tail[hm], m_head[tm] = tm, hm
+                m_size[hm] += m_size[j]
+            b[i] = j
+            used[j] = True
+            if placed + 1 == n:
+                if perms_transitive((a, b), n):
+                    return True
+            elif extend(a[j] if b[a[j]] < 0 else b.index(-1), placed + 1):
+                return True
+            b[i] = -1
+            used[j] = False
+            if hb == j:
+                b_need[b_size[j]] += 1
+            else:
+                b_size[hb] -= b_size[j]
+                b_tail[hb], b_head[tb] = i, j
+            if hm == j:
+                m_need[m_size[j]] += 1
+            else:
+                m_size[hm] -= m_size[j]
+                m_tail[hm], m_head[tm] = x, j
+        return False
+
+    if not extend(0, 0):
+        return None
+    b = tuple(b)
+    triple = (a, b, perm_inverse(perm_mul(a, b)))
+    return triple[-k:] + triple[:-k]
+
+
+def test_centralizer_pruning_keeps_every_answer():
+    # every genus-0 multiset of cycle types over the bases with orders <= 9
+    # at degrees 1-10, and four at degree 12 that a rule trying one untouched
+    # cycle per node, whatever its length, answers None: the pruned search
+    # finds a triple exactly when the unpruned one does, and each triple it
+    # returns is a witness of its types
+    keys = {
+        (12, ((2, 2, 2, 2, 2, 2), (4, 3, 2, 2, 1), (4, 4, 4))),
+        (12, ((2, 2, 2, 2, 2, 2), (5, 5, 2), (6, 2, 2, 1, 1))),
+        (12, ((2, 2, 2, 2, 2, 2), (5, 5, 2), (8, 1, 1, 1, 1))),
+        (12, ((3, 3, 3, 3), (3, 3, 3, 3), (4, 2, 2, 2, 1, 1))),
+    }
+    for base3 in combinations_with_replacement(range(1, 10), 3):
+        for n in range(1, 11):
+            for types in product(*[divisor_partitions(n, v) for v in base3]):
+                if sum(map(len, types)) == n + 2:
+                    keys.add((n, tuple(sorted(types))))
+    found = 0
+    for n, types in sorted(keys):
+        triple = _triple_for_types.__wrapped__(n, types)
+        assert (triple is None) == (_triple_for_types_unpruned(n, types) is None), (n, types)
+        if triple is not None:
+            found += 1
+            witness = PermWitness(n, tuple(lcm(*t) for t in types), triple)
+            assert witness.cycle_types == types
+    assert (len(keys), found) == (863, 819)
+
+
+def test_oracle_matches_the_spherical_tables_at_their_full_degrees():
+    # S^2(2,3,5) at degree 60 took 40 s before the centralizer rule
+    start = time.process_time()
+    documented = set()
+    for base, top in (((2, 3, 3), 12), ((2, 3, 4), 24), ((2, 3, 5), 60)):
+        for n in range(1, top + 1):
+            rep = verify_pair(S2(base), n, budget=60)
+            assert rep.clean, rep
+            documented |= {(c, base, n) for c in rep.documented}
+    assert documented == _SUMMARY_OMITS
+    assert time.process_time() - start < 5
 
 
 def test_oracle_checks_the_fourth_summary_omitted_row():
