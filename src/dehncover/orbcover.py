@@ -258,6 +258,8 @@ class PermWitness:
 
     def __post_init__(self):
         sa, sb, sc = self.perms
+        if self.degree < 1:
+            raise ValueError("a witness needs degree >= 1")
         points = list(range(self.degree))
         if sorted(sa) != points or sorted(sb) != points or sorted(sc) != points:
             raise ValueError(f"a monodromy permutation is not a rearrangement of range({self.degree})")
@@ -379,8 +381,8 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
                 continue
             sj = start[j]
             if not touch[sj]:
-                # the cycles of one length are consecutive, so one length
-                # at a time is open
+                # a's cycles of one length are consecutive, so the last
+                # length tried is the only one to remember
                 if j != sj or clen[j] == tried:
                     continue
                 tried = clen[j]

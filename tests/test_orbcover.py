@@ -211,12 +211,14 @@ def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
     assert witness.cover_orders() == ()
     assert "cycle_types" not in repr(witness)
     # product not the identity; a 3-cycle at an order-2 point; intransitive;
-    # an entry below 0, which indexing would wrap; an entry past the degree
+    # an entry below 0, which indexing would wrap; an entry past the degree;
+    # degree 0
     for degree, base3, perms in [(3, (1, 3, 3), (ident, rot, rot)),
                                  (3, (1, 2, 3), (ident, rot, perm_inverse(rot))),
                                  (3, (1, 1, 1), (ident, ident, ident)),
                                  (2, (2, 1, 2), ((-2, 1), (0, 1), (0, 1))),
-                                 (3, (1, 3, 3), (ident, (1, 2, 3), (2, 0, 1)))]:
+                                 (3, (1, 3, 3), (ident, (1, 2, 3), (2, 0, 1))),
+                                 (0, (1, 1, 1), ((), (), ()))]:
         with pytest.raises(ValueError):
             PermWitness(degree, base3, perms)
 
