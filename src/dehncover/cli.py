@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from .core import (
     LensRegimeError,
-    LensSpace,
     Orbifold2,
     Slope,
     TorusKnot,
     euler_number,
     h1_order,
+    parse_lens,
     parse_seifert,
 )
 from .hyperbolic import (
@@ -38,7 +38,7 @@ from .orbcover import (
     _NEG_SPORADIC,
     BudgetExceededError,
     _covers_by_degree,
-    oracle_covers,
+    perm_cover_oracle,
     table_covers,
     verify_pair,
 )
@@ -124,8 +124,7 @@ def cmd_invariants(args) -> int:
 def _fmt_partitions(sys) -> str:
     # unbranched parts v as v×count (v for one) before the branched parts
     cols = []
-    for v, parts in zip(sys.base_orders, sys.partitions):
-        c = (sys.degree - sum(parts)) // v
+    for v, c, parts in zip(sys.base_orders, sys.unbranched, sys.partitions):
         unbranched = [f"{v}×{c}" if c > 1 else str(v)] if c else []
         cols.append("+".join(unbranched + [str(k) for k in parts]))
     return f"base S2{_fmt_orders(sys.base_orders)} degree {sys.degree}: [" + " | ".join(cols) + "]"
@@ -184,35 +183,23 @@ def cmd_orb_covers(args) -> int:
         raise ValueError("--max-degree must be >= 1")
     use_oracle = args.source in ("oracle", "both")
     use_table = args.source in ("table", "both")
-    degrees = range(1, args.max_degree + 1)  # the oracle stops past its budget
-    if not use_oracle:
-        if base.chi[0]:
-            # chi fixes each cover's degree: walk only the degrees with table rows
-            degrees = sorted(n for n in _covers_by_degree(base.cone_orders) if n <= args.max_degree)
-        elif args.max_degree > MAX_FAMILY_DEGREE:
-            raise ValueError(f"--max-degree {args.max_degree:,} over {base} (chi = 0) would list its "
-                             f"covers degree by degree; the limit is {MAX_FAMILY_DEGREE:,}")
-    rows = []
+    budget = args.cfg.oracle_degree_budget
+    degrees = range(1, args.max_degree + 1)
+    if use_oracle:
+        if args.max_degree > budget:  # refused before the walk prints a row
+            raise BudgetExceededError(budget)
+    elif base.chi[0]:
+        # chi fixes each cover's degree: walk only the degrees with table rows
+        degrees = sorted(n for n in _covers_by_degree(base.cone_orders) if n <= args.max_degree)
+    elif args.max_degree > MAX_FAMILY_DEGREE:
+        raise ValueError(f"--max-degree {args.max_degree:,} over {base} (chi = 0) would list its "
+                         f"covers degree by degree; the limit is {MAX_FAMILY_DEGREE:,}")
     for n in degrees:
-        oracle_set = set()
-        multicone = set()
-        if use_oracle:
-            small, witnesses = oracle_covers(base, n, budget=args.cfg.oracle_degree_budget)
-            oracle_set = small
-            multicone = {o for o in witnesses if len(o) > 3}
-        tset = table_covers(base, n) if use_table else set()
-        for cov in sorted(oracle_set | tset | multicone):
-            if cov in multicone:
-                src = "oracle"
-            elif cov in oracle_set and cov in tset:
-                src = "both"
-            elif cov in oracle_set:
-                src = "oracle"
-            else:
-                src = "table"
-            rows.append((cov, n, src))
-    for cov, n, src in rows:
-        print(f"{_fmt_orders(cov)}\t{n}\t{src}")
+        oracle = set(perm_cover_oracle(base, n, budget)) if use_oracle else set()
+        table = table_covers(base, n) if use_table else set()
+        for cov in sorted(oracle | table):
+            src = "table" if cov not in oracle else "both" if cov in table else "oracle"
+            print(f"{_fmt_orders(cov)}\t{n}\t{src}")
     return 0
 
 
@@ -290,9 +277,8 @@ def cmd_realize(args) -> int:
     text = args.target.strip()
     if text.startswith("{"):
         target = parse_seifert(text)
-    elif text.upper().startswith("L(") and text.endswith(")"):
-        p, q = (int(v) for v in text[2:-1].split(","))
-        target = LensSpace(p, q)
+    elif text[:2].upper() == "L(":
+        target = parse_lens(text)
     else:
         raise ValueError(f"target must be Seifert invariants {{b;(a,b),...}} or L(p,q), got {text!r}")
     for slope in find_surgery_slopes(K, target):
@@ -300,12 +286,19 @@ def cmd_realize(args) -> int:
     return 0
 
 
-def cmd_short_slopes(args) -> int:
-    records, errors = read_census(args.census)
+def _read_records(path: str) -> list:
+    """The valid census records at path; warns per bad line, errors if none."""
+    records, errors = read_census(path)
     for err in errors:
         print(f"warning: {err}", file=sys.stderr)
     if not records:
         print("error: no valid records", file=sys.stderr)
+    return records
+
+
+def cmd_short_slopes(args) -> int:
+    records = _read_records(args.census)
+    if not records:
         return 2
     cutoff = normalized_cutoff(args.k)
     expected = 3 * cutoff**2 / math.pi
@@ -325,11 +318,8 @@ def cmd_short_slopes(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    records, errors = read_census(args.census)
-    for err in errors:
-        print(f"warning: {err}", file=sys.stderr)
+    records = _read_records(args.census)
     if not records:
-        print("error: no valid records", file=sys.stderr)
         return 2
     reports = []
     for rec in sorted(records, key=lambda r: r.name):

@@ -126,6 +126,7 @@ class SeifertInvariants:
 
 _SEIFERT_RE = re.compile(r"^\{(-?\d+);(\(-?\d+,-?\d+\)(?:,\(-?\d+,-?\d+\))*)?\}$")
 _PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
+_LENS_RE = re.compile(r"^L\((-?\d+),(-?\d+)\)$", re.IGNORECASE)
 
 
 def parse_seifert(text: str) -> SeifertInvariants:
@@ -137,6 +138,14 @@ def parse_seifert(text: str) -> SeifertInvariants:
     b = int(m.group(1))
     fibers = tuple((int(a), int(be)) for a, be in _PAIR_RE.findall(m.group(2) or ""))
     return SeifertInvariants(b, fibers)
+
+
+def parse_lens(text: str) -> LensSpace:
+    """Parse the textual form "L(p,q)" (whitespace and the case of L ignored)."""
+    m = _LENS_RE.match(re.sub(r"\s+", "", text))
+    if not m:
+        raise ValueError(f"cannot parse lens space: {text!r}")
+    return LensSpace(int(m.group(1)), int(m.group(2)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Four tools live here:
     partition systems of a cover are built by placing each of its cone orders
     at a base point whose order it divides (at most 27 placements and three
     stored branched parts, whatever the degree), listed in descending order
-    of their full partitions,
+    of their full partitions, each keeping its counts of unbranched parts,
   * a permutation oracle that certifies exactly which branched covers of S^2
     orbifolds exist at a given degree by finding monodromy triples: it walks
     only the genus-0 triples of cycle types, and for each multiset of types
@@ -18,7 +18,7 @@ Four tools live here:
     the pinned permutation's centralizer on the cycles the branch has not
     touched (S^2(2,3,5) at degree 60 takes milliseconds).  The answer, a
     triple or None, is cached per degree and multiset, so bases that share a
-    typeset share one search, and
+    typeset share one search; it keys each cover by its cone orders, and
   * the closed-form classification tables, split by the sign of the orbifold
     Euler characteristic (negative: parametrized families plus sporadic rows;
     zero: quadratic-form degree sets; positive: spherical/bad orbifold rows).
@@ -103,42 +103,40 @@ def _partition_table(n: int, v: int) -> tuple[tuple[tuple[int, ...], int, tuple[
     return tuple(out)
 
 
-def divisor_partitions(n: int, v: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n into parts dividing v, parts descending."""
-    return tuple(row[0] for row in _partition_table(n, v))
-
-
 @dataclass(frozen=True)
 class PartitionSystem:
     """Branching data of a candidate cover over a 3-cone-point base.
 
     base_orders is always padded to length 3 with 1s; partitions[i] holds the
     branched parts at base order v = base_orders[i], proper divisors k of v,
-    descending, each under a cone point of order v/k of the cover.  The
-    (degree - sum) / v unbranched parts v are left implicit (cycle_types()).
+    descending, each under a cone point of order v/k of the cover, and
+    unbranched[i] counts the (degree - sum) / v unbranched parts v there;
+    derived by the check, it is left out of equality, hashing and repr.
     """
 
     degree: int
     base_orders: tuple[int, int, int]
     partitions: tuple[tuple[int, ...], ...]
+    unbranched: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.base_orders) != 3 or len(self.partitions) != 3:
             raise ValueError("partition system needs exactly 3 base points (pad with 1s)")
+        counts = []
         for v, parts in zip(self.base_orders, self.partitions):
             if any(not 0 < k < v or v % k for k in parts):
                 raise ValueError(f"branched parts {parts} must be proper divisors of the base order {v}")
-            rest = self.degree - sum(parts)
-            if rest < 0 or rest % v:
+            count, rest = divmod(self.degree - sum(parts), v)
+            if count < 0 or rest:
                 raise ValueError(f"branched parts {parts} do not fill degree {self.degree} with parts {v}")
+            counts.append(count)
+        object.__setattr__(self, "unbranched", tuple(counts))
 
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
         """The full partitions of the degree, the cycle types of a witness.
         They grow with the degree; only the permutation oracle reads them."""
-        return tuple(
-            (v,) * ((self.degree - sum(parts)) // v) + parts
-            for v, parts in zip(self.base_orders, self.partitions)
-        )
+        return tuple((v,) * c + parts
+                     for v, c, parts in zip(self.base_orders, self.unbranched, self.partitions))
 
     def branch_orders(self) -> tuple[int, ...]:
         """Cone orders of the covering orbifold."""
@@ -461,13 +459,11 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
     return PermWitness(n, tuple(base3), triple[r:] + triple[:r])
 
 
-def perm_cover_oracle(
-    base: Orbifold2, n: int, budget: int = 12
-) -> list[tuple[Orbifold2, PermWitness]]:
+def perm_cover_oracle(base: Orbifold2, n: int, budget: int = 12) -> dict[tuple[int, ...], PermWitness]:
     """Enumerate all branched-cover types of the base orbifold at degree n.
 
-    Returns one (cover orbifold, witness) pair per distinct cover, sorted by
-    cover cone orders.  Covers by orbifolds with more than 3 cone points are
+    Returns a witness per distinct cover, keyed by the cover's cone orders
+    and sorted by them.  Covers by orbifolds with more than 3 cone points are
     included (callers comparing against the classification tables filter
     them out).  Only genus-0 covers are reported: a transitive triple has
     total cycle count n + 2 exactly when the covering surface is S^2.
@@ -507,7 +503,7 @@ def perm_cover_oracle(
                 witness = _witness_for_types(n, base3, (ta, tb, tc))
                 if witness is not None:
                     found[orders] = witness
-    return [(Orbifold2(orders), w) for orders, w in sorted(found.items())]
+    return dict(sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +647,19 @@ def _is_pos_row(cover: tuple[int, ...], base: tuple[int, ...], n: int) -> bool:
     return (cover, base, n) in _POS_SPORADIC
 
 
+def _is_row(cover: tuple[int, ...], base: tuple[int, ...], n: int, negative: bool) -> bool:
+    """Whether cover -> base is a table row at n, its Riemann-Hurwitz degree,
+    over a base of chi < 0 (negative) or chi > 0."""
+    return cover == base or (_is_neg_row if negative else _is_pos_row)(cover, base, n)
+
+
 @lru_cache(maxsize=None)
 def _classify_orders(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
     B = Orbifold2(base)
     n = riemann_hurwitz_degree(Orbifold2(cover), B)
     if n is UNCONSTRAINED:
         return _zero_degrees(cover, base)
-    if n is None:
-        return _EMPTY
-    is_row = _is_neg_row if B.chi[0] < 0 else _is_pos_row
-    if cover == base or is_row(cover, base, n):
+    if n is not None and _is_row(cover, base, n, B.chi[0] < 0):
         return DegreeSet(frozenset({n}))
     return _EMPTY
 
@@ -690,8 +689,8 @@ def _covers_by_degree(base: tuple[int, ...]) -> dict:
 
     Each cone order of a cover divides a base cone order, and a cover of
     degree n has chi(C) = n * chi(B), so the candidates are the multisets of
-    at most 3 divisors of the base orders, each tried at its one degree.  chi
-    is scaled by the lcm of the base orders to stay an integer.
+    at most 3 divisors of the base orders, each tried at its one degree by
+    _is_row.  chi is scaled by the lcm of the base orders to stay an integer.
     """
     if len(base) > 3:
         raise ValueError("classification applies to orbifolds with <= 3 cone points")
@@ -705,7 +704,7 @@ def _covers_by_degree(base: tuple[int, ...]) -> dict:
             cc = 2 * scale - sum(map(drop.__getitem__, cover))
             if cb:
                 n, rem = divmod(cc, cb)
-                if rem or n < 1 or n not in _classify_orders(cover, base):
+                if rem or n < 1 or not _is_row(cover, base, n, cb < 0):
                     continue
             elif cc:
                 continue
@@ -736,9 +735,8 @@ def oracle_covers(
     """Covers found by the permutation oracle at degree n: the set of covers
     with <= 3 cone points (comparable with the tables) plus the full witness
     map (which may also contain covers with more cone points)."""
-    witnesses = {orb.cone_orders: w for orb, w in perm_cover_oracle(base, n, budget)}
-    small = {orders for orders in witnesses if len(orders) <= 3}
-    return small, witnesses
+    witnesses = perm_cover_oracle(base, n, budget)
+    return {orders for orders in witnesses if len(orders) <= 3}, witnesses
 
 
 @dataclass(frozen=True)

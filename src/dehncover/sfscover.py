@@ -34,8 +34,8 @@ The cache keys of classify_surgery (and of the one-direction
 decide_cover_directed) are tuples of core.Slope and core.TorusKnot, which
 are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
 b~ is an integer by one divmod on the integer Euler pair
-(core.euler_pair), building no Fraction.  A partition system keeps only
-its branched parts and pullback folds the unbranched ones into b in one
+(core.euler_pair), building no Fraction.  A partition system keeps its
+branched parts and unbranched counts, which pullback folds into b in one
 step, so past the oracle's degree budget nothing grows with the orbifold
 degree.  A certificate's witness, found up to that budget, realises its own
 partition system: its cycle types are the system's cycle_types().
@@ -146,10 +146,10 @@ def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:
         raise ValueError(
             f"partition system over S2{sys_orders} does not match base orbifold S2{orders}"
         )
-    d = sys.degree
-    pairs = list(zip(M.fibers, [parts for v, parts in zip(sys.base_orders, sys.partitions) if v > 1]))
-    b = d * M.b + sum(be * ((d - sum(parts)) // a) for (a, be), parts in pairs)
-    return SeifertInvariants(b, tuple((a // k, be) for (a, be), parts in pairs for k in parts))
+    points = list(zip(M.fibers, [(parts, count) for v, parts, count
+                                 in zip(sys.base_orders, sys.partitions, sys.unbranched) if v > 1]))
+    b = sys.degree * M.b + sum(be * count for (_, be), (_, count) in points)
+    return SeifertInvariants(b, tuple((a // k, be) for (a, be), (parts, _) in points for k in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,8 @@ def test_criterion_8_property_suites(capsys):
     # Riemann-Hurwitz on every oracle witness over a sample of bases
     for base in [(2, 3, 7), (2, 3, 6), (3, 3, 3), (2, 4, 4), (2, 2, 5), (2, 3, 3)]:
         for n in range(1, 8):
-            for orb, witness in perm_cover_oracle(Orbifold2(base), n):
-                assert chi_fraction(orb) == n * chi_fraction(Orbifold2(base))
+            for orders in perm_cover_oracle(Orbifold2(base), n):
+                assert chi_fraction(Orbifold2(orders)) == n * chi_fraction(Orbifold2(base))
     # Loeschian multiplicative closure below 200
     loes = [n for n in range(1, 201) if is_loeschian(n)]
     for a in loes:

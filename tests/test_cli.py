@@ -127,12 +127,21 @@ def test_orb_covers_rows(capsys):
     rows = [line.split("\t") for line in out.splitlines()]
     assert ["(3,3)", "4", "both"] in rows
     assert ["(2,2,2)", "3", "both"] in rows
+    # the source column merges the oracle's covers, those with more than
+    # three cone points included, with the table's
+    code, out, _ = run(capsys, "orb-covers", "--base", "2,4,5", "--max-degree", 6)
+    assert code == 0
+    assert out == ("(2,4,5)\t1\tboth\n(2,5,5)\t2\tboth\n(2,2,2,4)\t5\toracle\n"
+                   "(2,2,2,5)\t6\toracle\n(4,4,5)\t6\tboth\n")
 
 
 def test_orb_covers_budget_exceeded(capsys):
-    code, _, err = run(capsys, "--budget", 5, "orb-covers", "--base", "2,3,7", "--max-degree", 8, "--oracle")
-    assert code == 3
-    assert "budget" in err
+    # under --oracle and under the default source, --both, alike
+    for source in (["--oracle"], []):
+        code, out, err = run(capsys, "--budget", 5, "orb-covers", "--base", "2,3,7", "--max-degree", 8, *source)
+        assert code == 3, source
+        assert out == ""
+        assert err == "error: enumeration budget exceeded (degree bound 5)\n"
 
 
 def test_orb_covers_table_walks_only_the_degrees_with_rows(capsys):
@@ -199,8 +208,15 @@ def test_realize_lens_with_large_q(capsys):
 
 
 def test_realize_bad_target(capsys):
-    code, _, err = run(capsys, "realize", 2, 3, "garbage")
-    assert code == 1
+    for target, message in [
+        ("garbage", "target must be Seifert invariants {b;(a,b),...} or L(p,q), got 'garbage'"),
+        ("L(1,2,3)", "cannot parse lens space: 'L(1,2,3)'"),
+        ("L(a,b)", "cannot parse lens space: 'L(a,b)'"),
+    ]:
+        code, out, err = run(capsys, "realize", 2, 3, target)
+        assert code == 1, target
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 # --- short-slopes / audit
@@ -254,10 +270,16 @@ def test_audit_malformed_line_warns(capsys, tmp_path, census_records):
 
 
 def test_audit_all_records_fail(capsys, tmp_path):
+    # audit and short-slopes load a census through one step
     path = tmp_path / "census.txt"
     path.write_text("broken 1 2\nworse\n")
-    code, _, err = run(capsys, "audit", str(path))
-    assert code == 2
+    for command in ("audit", "short-slopes"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["warning", "warning"]
+        assert lines[-1] == "error: no valid records"
 
 
 def test_audit_non_finite_numbers_warn(capsys, tmp_path, census_records):

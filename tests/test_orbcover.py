@@ -15,13 +15,13 @@ from dehncover.orbcover import (
     PartitionSystem,
     PermWitness,
     _open_paths,
+    _partition_table,
     _triple_for_types,
     _witness_for_types,
     canonical_perm,
     classify_cover,
     conjugacy_class_size,
     cycle_type,
-    divisor_partitions,
     oracle_covers,
     partition_systems,
     perm_cover_oracle,
@@ -135,7 +135,7 @@ def _partition_systems_reference(cover, base, n):
     the branch orders it produces: the full partitions of each system."""
     base3 = base.padded(3)
     systems = []
-    for combo in product(*[divisor_partitions(n, v) for v in base3]):
+    for combo in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
         branch = sorted(v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1)
         if tuple(branch) == cover.cone_orders:
             systems.append(combo)
@@ -184,11 +184,29 @@ def test_partition_system_size_does_not_grow_with_the_degree():
     for sys in systems:
         assert all(len(parts) <= 3 for parts in sys.partitions), sys
         assert sys.cover_orbifold() == B
+    # each keeps its counts of unbranched parts v, (degree - sum of parts) / v,
+    # as do the systems of smaller covers
+    for cover, base, n in [((3, 3), (2, 3, 3), 4), ((2, 2), (2, 2, 4), 4), ((), (2, 3, 5), 60),
+                           ((3, 3, 7), (2, 3, 7), 8), ((2, 2, 2), (2, 3, 5), 15)]:
+        more = partition_systems(S2(cover), S2(base), n)
+        assert more, (cover, base, n)
+        systems += more
+    for sys in systems:
+        for v, count, parts in zip(sys.base_orders, sys.unbranched, sys.partitions):
+            assert count * v == sys.degree - sum(parts), sys
 
 
 def test_partition_system_checks_its_branched_parts():
     ok = PartitionSystem(4, (2, 3, 6), ((), (1,), (3, 1)))
     assert ok.cycle_types() == ((2, 2), (3, 1), (3, 1))
+    # the unbranched counts are derived, so ==, hash and repr leave them out
+    assert ok.unbranched == (2, 1, 0)
+    assert repr(ok) == "PartitionSystem(degree=4, base_orders=(2, 3, 6), partitions=((), (1,), (3, 1)))"
+    (unbranched,) = [f for f in fields(PartitionSystem) if f.name == "unbranched"]
+    assert not unbranched.compare and not unbranched.repr
+    twin = PartitionSystem(4, (2, 3, 6), ((), (1,), (3, 1)))
+    object.__setattr__(twin, "unbranched", (0, 0, 0))
+    assert twin == ok and hash(twin) == hash(ok)
     for partitions, message in [
         (((2,), (1,), (3, 1)), "proper divisors"),  # a part equal to its base order
         (((), (1,), (4,)), "proper divisors"),  # a part not dividing it
@@ -224,20 +242,17 @@ def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
 
 
 def test_oracle_finds_sporadic_cover():
-    covers = {c.cone_orders for c, _ in perm_cover_oracle(S2((2, 3, 7)), 8)}
-    assert (3, 3, 7) in covers
+    assert (3, 3, 7) in perm_cover_oracle(S2((2, 3, 7)), 8)
 
 
 def test_oracle_degree3_square_lattice_empty():
-    covers = {c.cone_orders for c, _ in perm_cover_oracle(S2((2, 4, 4)), 3)}
-    assert (2, 4, 4) not in covers
+    assert (2, 4, 4) not in perm_cover_oracle(S2((2, 4, 4)), 3)
 
 
 def test_oracle_trivial_degree():
     covers = perm_cover_oracle(S2((5, 7, 9)), 1)
-    assert len(covers) == 1
-    orb, witness = covers[0]
-    assert orb == S2((5, 7, 9)) and witness.degree == 1
+    assert list(covers) == [(5, 7, 9)]
+    assert covers[5, 7, 9].degree == 1
 
 
 def test_oracle_budget():
@@ -249,9 +264,10 @@ def test_oracle_witness_invariants():
     # Riemann-Hurwitz holds exactly on every witness, and the partition
     # condition is satisfied (checked through the independent enumerator)
     for base, n in [((2, 3, 7), 8), ((2, 3, 3), 4), ((2, 2, 4), 4), ((2, 3, 6), 7), ((3, 3, 3), 3)]:
-        for orb, witness in perm_cover_oracle(S2(base), n):
+        for orders, witness in perm_cover_oracle(S2(base), n).items():
+            orb = S2(orders)
             assert chi_fraction(orb) == n * chi_fraction(S2(base))
-            if len(orb.cone_orders) <= 3:
+            if len(orders) <= 3:
                 assert partition_systems(orb, S2(base), n)
             assert witness.partition_system().cover_orbifold() == orb
 
@@ -326,7 +342,7 @@ def test_witness_search_matches_reference():
     for base3 in combinations_with_replacement(range(1, 10), 3):
         for n in range(1, 8):
             expected = set()
-            for types in product(*[divisor_partitions(n, v) for v in base3]):
+            for types in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
                 if sum(len(t) for t in types) != n + 2:
                     continue
                 witness = _witness_for_types(n, base3, types)
@@ -338,7 +354,7 @@ def test_witness_search_matches_reference():
                     assert witness.base_orders == base3
                     assert PermWitness(n, base3, witness.perms).partition_system().cycle_types() == types
                     expected.add(witness.cover_orders())
-            oracle = {orb.cone_orders for orb, _ in perm_cover_oracle(S2(base3), n)}
+            oracle = set(perm_cover_oracle(S2(base3), n))
             assert oracle == expected, (base3, n)
     assert (checked, found) == (1581, 1418)
 
@@ -441,7 +457,7 @@ def test_centralizer_pruning_keeps_every_answer():
     }
     for base3 in combinations_with_replacement(range(1, 10), 3):
         for n in range(1, 11):
-            for types in product(*[divisor_partitions(n, v) for v in base3]):
+            for types in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
                 if sum(map(len, types)) == n + 2:
                     keys.add((n, tuple(sorted(types))))
     found = 0
