@@ -29,7 +29,6 @@ from .hyperbolic import (
     _check_tolerance,
     audit_knot,
     enumerate_short_slopes,
-    normalize_cusp,
     normalized_cutoff,
     read_census,
 )
@@ -306,8 +305,7 @@ def cmd_short_slopes(args) -> int:
         raise ValueError(f"--k {args.k:g} would list about {expected:,.0f} slopes per record, "
                          f"more than the limit of {MAX_SHORT_SLOPES:,}")
     for rec in records:
-        cusp = normalize_cusp(rec.cusp_shape)
-        short = enumerate_short_slopes(cusp, cutoff)
+        short = enumerate_short_slopes(rec.cusp, cutoff)
         if args.cfg.output_format == "tsv":
             print(f"{rec.name}\t{len(short)}")
         else:

@@ -15,13 +15,17 @@ maximal cusp torus has area at least 2*sqrt(3), which converts the cutoff
 to normalized (area 1) length; any two normalized-short slopes then have
 intersection number under 30.84, capping the count at 32.
 
-The short slopes are enumerated from a Lagrange-Gauss reduced basis (u, v)
-of the cusp lattice (Nguyen-Stehle, "Low-dimensional lattice basis
-reduction revisited", ACM TALG 2009).  The lattice has area 1, so a vector
-x u + y v of length <= k has |y| <= k |u|, and in each such row x lies in
-an interval of width about 2k/|u|.  The work is about (k|u| + 1)(2k/|u| + 3)
-candidates however thin the cusp is, where walking the box of
-short_slope_box grows like 1/sqrt(Im(shape)).
+Which slopes are short is decided in exact integer arithmetic.  A float
+shape is a dyadic rational, so D |Im s| times the squared normalized length
+of p/q is an integer binary quadratic form F(p, q), and the cutoff k becomes
+an integer bound N on it.  F is Gauss-reduced in integers (Cohen, A Course
+in Computational Algebraic Number Theory, 1993, 5.4) and the points of the
+reduced lattice with F <= N are walked row by row with math.isqrt, so no
+tolerance enters the decision and no shape is too thin or too skewed.  The
+lattice has area 1, so the walk visits about (k|u| + 1)(2k/|u| + 3) points
+however thin the cusp is, where walking the box of short_slope_box grows
+like 1/sqrt(Im(shape)).  Lengths stay floats only where they are printed
+and sorted.
 
 A filling g matches a candidate base f at degree n when vol(g) = n vol(f)
 within the tolerance (_volume_match), for the degrees n >= 2 with n vol(f)
@@ -32,37 +36,30 @@ not (bases x fillings) volume tests.  A base whose degree list would pass
 MAX_CANDIDATE_DEGREES makes the record fail with DegreeLimitError.
 
 The audit walks the short slopes as normalised integer pairs (p, q) from
-_short_slopes, which normalises and length-tests each lattice point as it
-generates it, and builds no Slope for them; enumerate_short_slopes wraps
-the same walk for callers that want Slopes.  Filling and AuditRow are
-namedtuples, as Slope is, and since a Slope hashes and compares as its
-(p, q), the audit looks a walked pair up in a per-call index keyed by the
-fillings' own Slopes; nothing is cached on the record.  read_census builds
-each distinct pair of p and q tokens of a file once and shares that Slope
-among the records listing it: a generated 1,000-record census has about
-30,500 filling triples and 1,300 distinct pairs, a 96% hit rate.  The
-table holds at most one Slope per distinct pair in the file and is dropped
-when read_census returns.
+_short_slopes, which normalises each lattice point as it generates it, and
+builds no Slope for them; enumerate_short_slopes wraps the same walk for
+callers that want Slopes.  Filling and AuditRow are namedtuples, as Slope
+is, and since a Slope hashes and compares as its (p, q), the audit looks a
+walked pair up in a per-call index keyed by the fillings' own Slopes.  A
+record keeps the NormalizedCusp it validated its shape with, and the audit
+reads it from there.  read_census builds each distinct pair of p and q
+tokens of a file once and shares that Slope among the records listing it:
+a generated 1,000-record census has about 30,500 filling triples and 1,300
+distinct pairs, a 96% hit rate.  The table holds at most one Slope per
+distinct pair in the file and is dropped when read_census returns.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, isqrt
 from operator import attrgetter
 
 from .core import Slope
 
 MIN_CUSP_AREA = 2.0 * math.sqrt(3.0)
-LENGTH_TOL = 1e-9  # slack for float length comparisons
-MAX_SHAPE_SKEW = 1e5  # largest accepted |Re(shape)| / |Im(shape)|, see normalize_cusp
-# The candidate region of enumerate_short_slopes is widened by this relative
-# margin.  Under the shape rule the rounding of the reduced basis and of the
-# row bounds stays below about 1e-10 relative, so no slope that passes the
-# final length test can fall outside the region.
-CANDIDATE_SLACK = 1e-7
 # A base filling of volume v has the candidate degrees n with n v below the
 # complement volume (plus the tolerance).  Hyperbolic volumes are at least
 # 0.94, so a real record needs a complement volume near 10^3 to reach this
@@ -106,10 +103,12 @@ def normalized_cutoff(k: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class NormalizedCusp:
-    """Cusp translations scaled to area 1 with positive real meridian."""
+    """Cusp translations scaled to area 1 with positive real meridian, and
+    the shape s = l/m they were built from, which _short_slopes reads."""
 
     m: float
     l: complex
+    shape: complex
 
     @property
     def area(self) -> float:
@@ -119,36 +118,28 @@ class NormalizedCusp:
 def normalize_cusp(shape: complex) -> NormalizedCusp:
     """m = 1/sqrt(|Im s|), l = s m, from the cusp shape s = l/m.
 
-    The shape must be finite, not real, and satisfy |Re s| <= MAX_SHAPE_SKEW
-    * |Im s|; otherwise ValueError.  Why: with y = |Im s|, a slope of
-    normalized length <= k has |q| <= k/sqrt(y) and |p + q Re s| <= k sqrt(y),
-    so |p| m + |q| |l| <= 2k (1 + |Re s|/y).  The float expression
-    |p m + q l| then rounds off by at most about 3 * 2^-53 * 2k (1 + 1e5) =
-    6.7e-11 k, which is 3.7e-10 at the audit cutoff, below LENGTH_TOL.  A
-    more skewed shape makes the short slopes cancel huge terms, and its
-    lengths mean nothing in double precision: on 0.3 + 1e-300 i the float
-    reduction ends with coefficients near 3e15 and a shortest vector of
-    length 3.6e134.  The rule also keeps m and l finite: 1e300 + 1e-300 i
-    would overflow l.
+    ValueError for a non-finite or real shape, and for one whose l overflows
+    a float (1e300 + 1e-300 i).  Every other shape, however thin or skewed,
+    has its short slopes decided exactly by _short_slopes.
     """
     if not (math.isfinite(shape.real) and math.isfinite(shape.imag)):
         raise ValueError(f"non-finite cusp shape {shape}")
     if shape.imag == 0:
         raise ValueError("degenerate cusp shape (real)")
-    if abs(shape.real) > MAX_SHAPE_SKEW * abs(shape.imag):
-        raise ValueError(
-            f"degenerate cusp shape {shape}: |Re| exceeds {MAX_SHAPE_SKEW:g} * |Im|, "
-            "too skewed for double-precision slope lengths"
-        )
     m = 1.0 / math.sqrt(abs(shape.imag))
-    cusp = NormalizedCusp(m, shape * m)
+    cusp = NormalizedCusp(m, shape * m, shape)
+    if not math.isfinite(cusp.l.real):
+        raise ValueError(f"degenerate cusp shape {shape}: its normalized translation overflows a float")
     assert abs(cusp.area - 1.0) <= 1e-12
     return cusp
 
 
 def slope_length(slope: Slope, cusp: NormalizedCusp) -> float:
-    """Normalized length |p m + q l| of the surgery curve."""
-    return abs(slope.p * cusp.m + slope.q * cusp.l)
+    """Normalized length |p m + q l| = |p + q s| m of the surgery curve.
+    The real part p + q Re(s) is rounded once from its exact value, so a
+    skewed shape, where p m and q Re(l) nearly cancel, keeps its accuracy."""
+    xn, xd = cusp.shape.real.as_integer_ratio()
+    return abs(complex((slope.p * xd + slope.q * xn) / xd * cusp.m, slope.q * cusp.l.imag))
 
 
 def short_slope_box(k: float, cusp: NormalizedCusp) -> tuple[float, float]:
@@ -160,75 +151,71 @@ def short_slope_box(k: float, cusp: NormalizedCusp) -> tuple[float, float]:
     return a, b
 
 
-def _reduced_basis(cusp: NormalizedCusp):
-    """Lagrange-Gauss reduction of the cusp basis (m, l).
-
-    Returns ((pu, qu), u, (pv, qv), v) with u = pu m + qu l and v = pv m + qv l
-    a basis of the same lattice, |u| <= |v| and |Re(v conj(u))| <= |u|^2 / 2
-    up to rounding.  Each vector is recomputed from its integer coefficients
-    after every step, so rounding does not accumulate.
-    """
-    m, l = cusp.m, cusp.l
-    a, u = (1, 0), complex(m)
-    b, v = (0, 1), l
-    if abs(u) > abs(v):
-        a, u, b, v = b, v, a, u
+def _gauss_reduce(a: int, b: int, c: int):
+    """Gauss reduction of the positive definite integer form a x^2 + b x y
+    + c y^2 (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    5.4): ((a, b, c), u, v) with |b| <= a <= c, where (u, v) is the basis of
+    the reduced form in the old coordinates, as integer pairs."""
+    pu, qu, pv, qv = 1, 0, 0, 1
     while True:
-        mu = round((v * u.conjugate()).real / (u.real * u.real + u.imag * u.imag))
+        mu = (b + a) // (2 * a)  # b - 2 a mu lies in [-a, a)
         if mu:
-            b = (b[0] - mu * a[0], b[1] - mu * a[1])
-            v = b[0] * m + b[1] * l
-        if abs(v) >= abs(u):
-            return a, u, b, v
-        a, u, b, v = b, v, a, u
+            c -= mu * (b - a * mu)
+            b -= 2 * a * mu
+            pv, qv = pv - mu * pu, qv - mu * qu
+        if a <= c:
+            return (a, b, c), (pu, qu), (pv, qv)
+        a, c, pu, qu, pv, qv = c, a, pv, qv, pu, qu
 
 
 def _short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[float, int, int]]:
     """(length, p, q) for every primitive slope of normalized length <= k,
     with (p, q) normalised as Slope stores it (q >= 0, 1/0 for infinity),
-    sorted: by length, ties by (p, q).
+    sorted: by the float length, ties by (p, q).
 
-    The lattice vectors x u + y v of a reduced basis (see _reduced_basis)
-    are walked row by row.  The basis spans area A = |Im(conj(u) v)| = 1, so
-    |x u + y v|^2 = |u|^2 (x + y c)^2 + (y A / |u|)^2 with c = Re(v conj(u)) /
-    |u|^2: row y holds short vectors only for |y| <= k |u| / A, and there x
-    lies within sqrt(k^2 - (y A / |u|)^2) / |u| of -y c.  The vector and its
-    negative give the same slope, so only rows y > 0 are walked, plus u for
-    y = 0 (x = +-1 are the only primitive points there).  In one pass, each
-    point with gcd(x, y) = 1 is mapped back to (p, q), normalised, and kept
-    when the same float length |p m + q l| as slope_length gives is at most
-    k + LENGTH_TOL; no candidate list is built.  That makes about
-    (k|u| + 1)(2k/|u| + 3) candidates, whatever the shape; |u|^2 <= 2/sqrt(3)
-    for a reduced basis of area 1.
+    The decision is exact.  Every float is a dyadic rational, so the shape
+    is s = (X + Y i)/D in integers, with D a power of two, and k = kn/kd.
+    The normalized length of p/q is |p + q s|/sqrt(|Im s|), so D |Y|
+    length^2 is the integer form F(p, q) = (p D + q X)^2 + (q Y)^2, and p/q
+    is short exactly when F(p, q) <= N = floor(kn^2 D |Y| / kd^2).  In the
+    basis (u, v) of the Gauss-reduced form (a, b, c) of F (_gauss_reduce),
+    4 a F(x u + y v) = (2 a x + b y)^2 + Delta y^2 with Delta = 4 a c - b^2.
+    So row y >= 1 holds short points only for y <= isqrt(4 a N // Delta),
+    and there exactly the x with |2 a x + b y| <= isqrt(4 a N - Delta y^2).
+    A vector and its negative give the same slope, so rows y < 0 are not
+    walked and row 0 holds u alone, when a <= N.  The walk visits about
+    (k|u| + 1)(2k/|u| + 3) points, with |u|^2 <= 2/sqrt(3), however thin or
+    skewed the cusp.
+
+    Lengths are only printed and sorted.  Each is the float |x u + y v| of
+    the normalized vectors u and v, rounded from the exact integers; a
+    reduced basis has no cancellation, so the length is within a few ulps of
+    the exact one.  Neither vector overflows: u is 1/0, of length m, or has
+    length at least sqrt(|Im s|), and |u| |v| <= 2/sqrt(3).  Slopes of
+    exactly equal length can get floats an ulp apart, and then follow them.
     """
     _check_length_bound(k)
-    cut = k + LENGTH_TOL
-    reach = cut * (1.0 + CANDIDATE_SLACK)
-    (pu, qu), u, (pv, qv), v = _reduced_basis(cusp)
-    norm_u = u.real * u.real + u.imag * u.imag
-    gram = v * u.conjugate()
-    area = abs(gram.imag)
-    centre = gram.real / norm_u
-    m, l = cusp.m, cusp.l
+    (xn, xd), (yn, yd) = cusp.shape.real.as_integer_ratio(), cusp.shape.imag.as_integer_ratio()
+    d = max(xd, yd)
+    x0, y0 = xn * (d // xd), abs(yn) * (d // yd)
+    kn, kd = k.as_integer_ratio()
+    bound = kn * kn * d * y0 // (kd * kd)
+    (a, b, c), (pu, qu), (pv, qv) = _gauss_reduce(d * d, 2 * d * x0, x0 * x0 + y0 * y0)
+    m = cusp.m
+    u = complex((pu * d + qu * x0) / d * m, qu * y0 / d * m)
+    v = complex((pv * d + qv * x0) / d * m, qv * y0 / d * m)
     out = []
-    for y in range(int(reach * math.sqrt(norm_u) / area) + 1):
-        if y:
-            rest = reach * reach - y * y * area * area / norm_u
-            if rest < 0:
-                continue
-            half = math.sqrt(rest / norm_u)
-            c = -y * centre
-            xs = range(math.ceil(c - half), math.floor(c + half) + 1)
-        else:
-            xs = (1,)  # u itself
-        for x in xs:
+    if a <= bound:
+        out.append((abs(u), pu, qu) if qu > 0 or (qu == 0 and pu > 0) else (abs(u), -pu, -qu))
+    two_a, four_an, delta = 2 * a, 4 * a * bound, 4 * a * c - b * b
+    for y in range(1, isqrt(four_an // delta) + 1):
+        t = isqrt(four_an - delta * y * y)
+        for x in range(-((t + b * y) // two_a), (t - b * y) // two_a + 1):
             if gcd(x, y) == 1:
                 p, q = x * pu + y * pv, x * qu + y * qv
                 if q < 0 or (q == 0 and p < 0):
                     p, q = -p, -q
-                length = abs(p * m + q * l)
-                if length <= cut:
-                    out.append((length, p, q))
+                out.append((abs(x * u + y * v), p, q))
     out.sort()
     return out
 
@@ -298,8 +285,8 @@ class Filling(namedtuple("Filling", ("slope", "volume"), defaults=(None,))):
 
 @dataclass(frozen=True)
 class CuspRecord:
-    """One knot's ingested data.  The cusp shape must pass the rule of
-    normalize_cusp (finite, not real, |Re| <= MAX_SHAPE_SKEW * |Im|), so a
+    """One knot's ingested data.  The cusp shape must pass normalize_cusp,
+    whose result the record keeps as cusp (outside ==, hash and repr), so a
     degenerate shape is rejected when the record is built, and so is a slope
     listed twice (one of its two volumes would be lost) and a volume on 1/0
     (that filling is S^3, never hyperbolic)."""
@@ -308,10 +295,11 @@ class CuspRecord:
     cusp_shape: complex
     volume_complement: float
     fillings: tuple[Filling, ...]
+    cusp: NormalizedCusp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            normalize_cusp(self.cusp_shape)
+            object.__setattr__(self, "cusp", normalize_cusp(self.cusp_shape))
         except ValueError as exc:
             raise ValueError(f"{self.name}: {exc}") from None
         if self.volume_complement <= 0:
@@ -380,7 +368,6 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     base slope, when a base's degree bound passes MAX_CANDIDATE_DEGREES.
     """
     _check_tolerance(tol)
-    cusp = normalize_cusp(rec.cusp_shape)
     cutoff = normalized_cutoff()
     fillings = rec.fillings
     index = {f.slope: i for i, f in enumerate(fillings)}
@@ -389,7 +376,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     half = rec.volume_complement / 2.0
     too_big = f" > complement/2 = {half:.7f} (tolerance-sensitive)"
     rows = []
-    for _length, p, q in _short_slopes(cusp, cutoff):
+    for _length, p, q in _short_slopes(rec.cusp, cutoff):
         if q == 0:
             continue  # the trivial filling 1/0 is not a surgery
         base = f"{p}/{q}"  # str(Slope(p, q))

@@ -1,8 +1,10 @@
+import decimal
 import hashlib
 import math
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from dehncover.core import Slope
 from dehncover.hyperbolic import (
-    LENGTH_TOL,
     MAX_CANDIDATE_DEGREES,
     AuditRow,
     CuspRecord,
@@ -18,7 +19,7 @@ from dehncover.hyperbolic import (
     Filling,
     _check_tolerance,
     _degree_bound,
-    _reduced_basis,
+    _gauss_reduce,
     _short_slopes,
     _volume_match,
     audit_knot,
@@ -55,10 +56,12 @@ def test_normalize_cusp_examples():
     assert abs(c.area - 1.0) < 1e-12
     c = normalize_cusp(complex(4, 2))
     assert abs(c.area - 1.0) < 1e-12
-    c = normalize_cusp(complex(1e5, -1.0))  # the most skewed shape accepted
-    assert abs(c.area - 1.0) < 1e-12
-    for bad in (complex(3, 0), complex(1e5 * (1 + 1e-9), 1.0), complex(0.3, 1e-300),
-                complex(1e300, 1e-300), complex(math.inf, 1.0), complex(0.0, math.nan)):
+    # no skew limit: thin and skewed shapes are walked exactly
+    for shape in (complex(1e5, -1.0), complex(1e8, 1e-6), complex(0.3, 1e-300), complex(1e150, 1e-150)):
+        c = normalize_cusp(shape)
+        assert abs(c.area - 1.0) < 1e-12 and c.shape == shape
+    # real, non-finite, and l overflowing a float
+    for bad in (complex(3, 0), complex(1e300, 1e-300), complex(math.inf, 1.0), complex(0.0, math.nan)):
         with pytest.raises(ValueError):
             normalize_cusp(bad)
 
@@ -68,6 +71,12 @@ def test_slope_length_examples():
     assert slope_length(Slope(1, 0), c) == 1.0
     assert slope_length(Slope(0, 1), c) == 1.0
     assert slope_length(Slope(3, 4), c) == 5.0
+    # 10 * 0.7 - 7 is -4.44e-16 and cancels in p m + q Re(l), which in
+    # floats read 1e-9 here instead of 4.44e-6
+    c = normalize_cusp(complex(0.7, 1e-20))
+    exact = math.sqrt((10 * Fraction(0.7) - 7) ** 2 / Fraction(1e-20) + 100 * Fraction(1e-20))
+    assert slope_length(Slope(-7, 10), c) == pytest.approx(exact, rel=1e-12)
+    assert _short_slopes(c, normalized_cutoff())[0] == (pytest.approx(exact, rel=1e-12), -7, 10)
 
 
 def test_slope_length_triangle_inequality():
@@ -108,25 +117,50 @@ def test_box_soundness_random():
         assert abs(p * c.m + q * c.l) > k
 
 
+def exact_length2(shape, k):
+    """A function of (p, q) giving the exact normalized squared length
+    |p + q s|^2 / |Im s| of p/q on the cusp of shape s, as a Fraction, when
+    it is at most k^2, and None otherwise.  With the Fractions re = Re s,
+    im = |Im s| and k^2 over one denominator D, the test is on integers."""
+    re, im, k2 = Fraction(shape.real), abs(Fraction(shape.imag)), Fraction(k) ** 2
+    D = math.lcm(re.denominator, im.denominator)
+    X, Y = int(re * D), int(im * D)
+    # |p + q s|^2 / |Im s| = ((p D + q X)^2 + (q Y)^2) / (D Y)
+    limit = k2 * D * Y
+
+    def length2(p, q):
+        f = (p * D + q * X) ** 2 + (q * Y) ** 2
+        return Fraction(f, D * Y) if f <= limit else None
+
+    return length2
+
+
 def box_loop_short_slopes(cusp, k):
     """The enumeration as it was before the reduced basis: every primitive
-    point of short_slope_box, kept if its length passes."""
+    point of short_slope_box, kept if its exact length passes, as (exact
+    squared length, p, q) sorted by exact length, ties by (p, q)."""
     a, b = short_slope_box(k, cusp)
-    cut = k + LENGTH_TOL
+    exact = exact_length2(cusp.shape, k)
     out = []
-    length_inf = slope_length(Slope(1, 0), cusp)
-    if length_inf <= cut:
-        out.append((Slope(1, 0), length_inf))
-    for q in range(1, int(b) + 1):
-        for p in range(-int(a), int(a) + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            slope = Slope(p, q)
-            length = slope_length(slope, cusp)
-            if length <= cut:
-                out.append((slope, length))
-    out.sort(key=lambda t: (t[1], t[0].p, t[0].q))
-    return out
+    for q in range(0, int(b) + 1):
+        for p in range(-int(a), int(a) + 1) if q else (1,):
+            if math.gcd(p, q) == 1:
+                length2 = exact(p, q)
+                if length2 is not None:
+                    out.append((length2, p, q))
+    return sorted(out)
+
+
+def assert_matches_exact(got, want):
+    """got, from _short_slopes, lists exactly the slopes of want, each once
+    and with a float length within 1e-12 relative of the exact one, sorted
+    by (length, p, q).  So got follows the exact order of want wherever two
+    exact lengths differ by more than the rounding of the floats."""
+    exact = {(p, q): length2 for length2, p, q in want}
+    assert sorted((p, q) for _length, p, q in got) == sorted(exact)
+    for length, p, q in got:
+        assert abs(Fraction(length) ** 2 / exact[p, q] - 1) <= 2e-12
+    assert got == sorted(got)
 
 
 @given(
@@ -137,8 +171,40 @@ def box_loop_short_slopes(cusp, k):
 )
 def test_enumerate_matches_box_loop(re, im, sign, k):
     cusp = normalize_cusp(complex(re, sign * im))
-    # the same slopes with the same float lengths in the same order
-    assert enumerate_short_slopes(cusp, k) == box_loop_short_slopes(cusp, k)
+    got = _short_slopes(cusp, k)
+    assert_matches_exact(got, box_loop_short_slopes(cusp, k))
+    assert enumerate_short_slopes(cusp, k) == [(Slope(p, q), length) for length, p, q in got]
+
+
+def doubled_box_short_slopes(shape, k):
+    """Every primitive slope of exact normalized length <= k in twice the
+    box of short_slope_box, walked row by row: row q >= 0 of that box holds
+    the p with |p + q Re s| <= 2 k sqrt(|Im s|) + 1, and each is tested in
+    Fractions.  Sorted as box_loop_short_slopes."""
+    re = Fraction(shape.real)
+    exact = exact_length2(shape, k)
+    half = 2 * k * math.sqrt(abs(shape.imag)) + 1
+    out = []
+    for q in range(0, 2 * int(k / math.sqrt(abs(shape.imag))) + 3):
+        centre = -q * re
+        for p in range(math.floor(centre - half), math.ceil(centre + half) + 1):
+            if math.gcd(p, q) == 1 and (q or p == 1):
+                length2 = exact(p, q)
+                if length2 is not None:
+                    out.append((length2, p, q))
+    return sorted(out)
+
+
+@given(
+    im=st.floats(1e-6, 10.0),
+    skew=st.floats(-1e8, 1e8),
+    sign=st.sampled_from((1, -1)),
+    k=st.floats(0.5, 6.0),
+)
+def test_skewed_and_thin_cusps_match_the_exact_reference(im, skew, sign, k):
+    # |Re| / |Im| up to 1e8, the range the float walk refused past 1e5
+    shape = complex(skew * im, sign * im)
+    assert_matches_exact(_short_slopes(normalize_cusp(shape), k), doubled_box_short_slopes(shape, k))
 
 
 def test_enumerate_thin_cusp_at_once():
@@ -174,39 +240,68 @@ def test_enumerate_matches_bruteforce_on_doubled_box():
         k = rng.uniform(1.0, 8.0)
         got = {s for s, _ in enumerate_short_slopes(c, k)}
         a, b = short_slope_box(k, c)
+        exact = exact_length2(c.shape, k)
         brute = set()
         for q in range(0, 2 * int(b) + 3):
             for p in range(-2 * int(a) - 3, 2 * int(a) + 4):
-                if math.gcd(p, q) != 1:
-                    continue
-                if abs(p * c.m + q * c.l) <= k + 1e-9:
+                if math.gcd(p, q) == 1 and exact(p, q) is not None:
                     brute.add(Slope(p, q))
         assert got == brute
 
 
-@pytest.mark.parametrize("shape", [complex(-1.5, 0.1), complex(-2.6, -0.1)])
+@given(re=st.floats(allow_nan=False, allow_infinity=False),
+       im=st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_shape_ends_in_a_result(re, im):
+    # a ValueError only for a real shape or an l that overflows a float;
+    # every other shape walks at once, without an OverflowError
+    shape = complex(re, im)
+    if im == 0 or not math.isfinite(re * (1.0 / math.sqrt(abs(im)))):
+        with pytest.raises(ValueError, match="degenerate cusp shape"):
+            normalize_cusp(shape)
+        return
+    start = time.process_time()
+    got = _short_slopes(normalize_cusp(shape), normalized_cutoff())
+    assert time.process_time() - start < 0.5
+    assert 1 <= len(got) <= 32 and got == sorted(got)
+    assert all(0 < length <= normalized_cutoff() * (1 + 1e-12) for length, _p, _q in got)
+
+
+def test_the_cutoff_is_exact():
+    # 1/0 and 0/1 have length exactly 1 on the square cusp; the float walk
+    # kept them below 1 too, within its length tolerance
+    c = normalize_cusp(1j)
+    assert enumerate_short_slopes(c, math.nextafter(1.0, 0.0)) == []
+    assert enumerate_short_slopes(c, 1.0) == [(Slope(0, 1), 1.0), (Slope(1, 0), 1.0)]
+
+
+def test_thin_and_skewed_cusps_walk_exactly():
+    # 0.3 is 5404319552844595 / 2^54, so p/q = -0.3 has p + q s = q Im(s) i
+    # and normalized length 2^54 * 1e-300 / sqrt(1e-300)
+    got = enumerate_short_slopes(normalize_cusp(complex(0.3, 1e-300)), normalized_cutoff())
+    assert got == [(Slope(-5404319552844595, 2**54), pytest.approx(2**54 * 1e-150, rel=1e-12))]
+    # the reduced u is -1e150 + s = 1e-150 i, of length 1e-75; the walk must
+    # not build a float from the 1,048-bit coefficients
+    got = enumerate_short_slopes(normalize_cusp(complex(1e150, 1e-150)), normalized_cutoff())
+    assert got == [(Slope(-int(1e150), 1), pytest.approx(1e-75, rel=1e-12))]
+
+
+@pytest.mark.parametrize("shape", [complex(-1.7, 0.1), complex(-2.6, -0.1)])
 def test_short_slopes_normalise_a_reduced_u_with_negative_q(shape):
     # the walk takes u itself as the one point of row 0, so u must get the
     # same sign normalisation and length test as every other point
     c = normalize_cusp(shape)
-    (pu, qu), u, _pv, _v = _reduced_basis(c)
-    assert qu < 0
-    a, b = short_slope_box(4.0, c)
-
-    def brute(k):
-        out = []
-        for q in range(0, 2 * int(b) + 3):
-            for p in range(-2 * int(a) - 3, 2 * int(a) + 4):
-                if math.gcd(p, q) == 1 and (q or p == 1):
-                    length = abs(p * c.m + q * c.l)
-                    if length <= k + LENGTH_TOL:
-                        out.append((length, p, q))
-        return sorted(out)
-
-    for k in (abs(u) * 0.999, abs(u) * 1.001, 1.5, 4.0):
+    (xn, xd), (yn, yd) = shape.real.as_integer_ratio(), shape.imag.as_integer_ratio()
+    d = max(xd, yd)
+    x0, y0 = xn * (d // xd), yn * (d // yd)
+    (a, b, cc), (pu, qu), (pv, qv) = _gauss_reduce(d * d, 2 * d * x0, x0 * x0 + y0 * y0)
+    assert qu < 0 and abs(b) <= a <= cc and abs(pu * qv - pv * qu) == 1
+    form = lambda p, q: (p * d + q * x0) ** 2 + (q * y0) ** 2
+    assert (a, b, cc) == (form(pu, qu), form(pu + pv, qu + qv) - form(pu, qu) - form(pv, qv), form(pv, qv))
+    u = math.sqrt(a / (d * abs(y0)))
+    for k in (u * 0.999, u * 1.001, 1.5, 4.0):
         got = _short_slopes(c, k)
-        assert got == brute(k)
-        assert ((-pu, -qu) in [(p, q) for _length, p, q in got]) == (k > abs(u))
+        assert_matches_exact(got, doubled_box_short_slopes(shape, k))
+        assert ((-pu, -qu) in [(p, q) for _length, p, q in got]) == (k > u)
 
 
 def test_short_slope_count_and_intersection_bound():
@@ -231,6 +326,40 @@ def test_vcsc_length_bound():
     # inverting the filled-volume bound at this length gives ratio exactly 1/2
     ratio = (1 - (2 * math.pi / k) ** 2) ** 1.5
     assert abs(ratio - 0.5) < 1e-12
+
+
+def _pi(digits):
+    """pi to about the given number of decimal digits, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        eps = decimal.Decimal(10) ** -(digits + 5)
+
+        def arctan_inv(n):
+            total, power, k = decimal.Decimal(0), decimal.Decimal(1) / n, 0
+            while power > eps:
+                total += (-1) ** k * power / (2 * k + 1)
+                power /= n * n
+                k += 1
+            return total
+
+        return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+def test_the_default_cutoff_is_conservative():
+    # the walk compares exactly against the float cutoff, so its square must
+    # not fall below the true (2 pi)^2 / ((1 - 2^(-2/3)) 2 sqrt 3), which is
+    # computed here to 60 digits
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        pi = _pi(60)
+        assert abs(pi - D("3.14159265358979323846264338327950288419716939937510582097494")) < D("1e-58")
+        true = (2 * pi) ** 2 / ((1 - D(2) ** (D(-2) / 3)) * 2 * D(3).sqrt())
+        cutoff = Fraction(normalized_cutoff())
+        got = D(cutoff.numerator) ** 2 / D(cutoff.denominator) ** 2
+        assert got >= true
+        assert (got - true) / true < D("1e-13")
 
 
 # --- volume / homology obstructions
@@ -490,12 +619,17 @@ def seeded_census(records, seed, copies):
 
 
 def test_audit_reports_are_pinned(census_records):
-    # the digest is that of the all-pairs audit the bisect replaced
+    # the digest is that of the all-pairs audit the bisect replaced, with the
+    # rows of the -1 + 3i records in the order of the exact walk: on that
+    # integer shape 8/1 and -6/1 (and 10/1 and -8/1) have equal lengths and
+    # now come in (p, q) order, where the float walk's rounding had put 8/1
+    # first, and 9/2, exactly as long as 1/3 and 5/3, gets a float one ulp
+    # below theirs; the rows themselves are unchanged
     h = hashlib.sha256()
     for tol in (0.0, 1e-4, 1e-2):
         for rec in seeded_census(census_records, 7, 20):
             h.update(repr(audit_knot(rec, tol)).encode())
-    assert h.hexdigest()[:16] == "0e40cd20260734fd"
+    assert h.hexdigest()[:16] == "ce8fe87d73b5b7a7"
 
 
 def test_degree_limit_names_the_record_and_slope():
@@ -523,8 +657,8 @@ def test_parse_census_line():
         parse_census_line("x 0.0 1.0 2.0 5 1")  # dangling filling tokens
     with pytest.raises(ValueError):
         parse_census_line("x 0.0 1.0 2.0 5 1 9.0")  # filling volume above complement
-    with pytest.raises(ValueError, match="y: degenerate cusp shape"):
-        parse_census_line("y 0.3 1e-300 2.0 5 1 0.9")  # too skewed for float lengths
+    with pytest.raises(ValueError, match="y: degenerate cusp shape .*overflows a float"):
+        parse_census_line("y 1e300 1e-300 2.0 5 1 0.9")  # l = s / sqrt(Im s) overflows
     # one slope with two volumes, here 5/1 (which hid its degree-2 match
     # under -5/1) and -5/1 written as 5 -1
     with pytest.raises(ValueError, match="d: slope 5/1 is listed twice"):
@@ -538,6 +672,23 @@ def test_parse_census_line():
     with pytest.raises(ValueError, match="slope 1/0"):
         parse_census_line("neg 0.0 3.46 2.03 -1 0 1.5")
     assert parse_census_line("exc 0.0 3.46 2.03 1 0 EXC").fillings[0].exceptional
+
+
+def test_a_skewed_census_line_loads_and_audits():
+    # refused as too skewed for float lengths while the walk was in floats
+    rec = parse_census_line("y 0.3 1e-300 2.0 5 1 0.9")
+    assert rec.cusp == normalize_cusp(rec.cusp_shape)
+    assert audit_knot(rec).rows == (
+        AuditRow("y", "*", "-5404319552844595/18014398509481984", (), "unmeasured", "no filling data"),)
+
+
+def test_the_record_keeps_its_normalized_cusp():
+    rec = fig8_record()
+    assert rec.cusp == normalize_cusp(rec.cusp_shape)
+    assert "cusp=" not in repr(rec)
+    twin = CuspRecord(rec.name, rec.cusp_shape, rec.volume_complement, rec.fillings)
+    object.__setattr__(twin, "cusp", normalize_cusp(1j))
+    assert twin == rec and hash(twin) == hash(rec)
 
 
 def test_filling_and_audit_row_value_types():
