@@ -4,9 +4,9 @@ Cover calculus on Seifert fibered spaces and the end-to-end decision
 
 Every cover of Seifert fibered spaces factors as a fiberwise cover followed
 by a pullback cover, so the decision runs: classify both surgeries, settle
-the reducible / lens / infinite-homology cases directly, then enumerate
-admissible base-orbifold covers, pull the base manifold back along each
-partition system, and look for the fiberwise factor pinned by the order of
+the reducible / lens / infinite-homology cases directly, then try each
+admissible base-orbifold cover (d, C), pull the base manifold back along its
+partition systems, and look for the fiberwise factor pinned by the order of
 first homology.
 
 Degrees compose as total = fiberwise x orbifold.  Under a fiberwise cover of
@@ -16,6 +16,18 @@ multiplies by d going up.  A pullback along C -> B also has exactly C's cone
 orders as its fiber orders, so its |H_1| = d |H_1(base)| prod(C) / prod(B),
 and with it the fiberwise degree, is fixed by the candidate (d, C) and checked
 once for all of its partition systems.
+
+Per candidate the stages run in this order: Riemann-Hurwitz and the table
+(classify_cover) admit (d, C); the |H_1| divisibility test and, for an SFS
+cover, the gcd of the fiberwise degree with C's cone orders are integer
+checks on (d, C) alone; only then are the partition systems listed, each
+pulled back and lifted.  Lemma: every candidate has at least one partition
+system.  It is a row of classify_cover, so a real orbifold cover, and the
+cycle types of that cover's monodromy satisfy the partition condition: at a
+base point of order v each cycle has length k dividing v, a cone point of
+order v/k of C when k < v and an unbranched part when k = v.  So
+the arithmetic checks coming first change no decision, reason or
+certificate; they only spare the listing for candidates that fail them.
 
 Most pairs end at Riemann-Hurwitz.  The base orbifolds B and C come stored
 on the cached classifications (classify_surgery builds each once), each
@@ -300,7 +312,14 @@ def _decide_directed(
 ) -> CoverDecision:
     """Decide whether the cover_slope surgery, classified as cov, covers the
     base_slope surgery, classified as base.  Uncached: decide_pair and
-    decide_cover_directed hold the classifications and call this."""
+    decide_cover_directed hold the classifications and call this.
+
+    Each candidate (d_o, C) passes Riemann-Hurwitz and the table, then the
+    H1 divisibility and gcd checks, and only then has its partition systems
+    listed, pulled back and lifted.  Every candidate has a system (lemma in
+    the module docstring), so a candidate that fails the arithmetic is
+    rejected with the reason the listing would have led to.
+    """
     if cover_slope == base_slope:
         cert = CoverCertificate(cover_slope, base_slope, 1, 1, 1)
         return CoverDecision(True, cert, detail="identical surgeries")
@@ -345,9 +364,6 @@ def _decide_directed(
 
     obstructions = set()
     for d_o, C in candidates:
-        systems = partition_systems(C, B, d_o)
-        if not systems:
-            continue
         # |H_1| of the pullback along any of the systems (module docstring)
         hbar = d_o * abs(base_slope.p) * prod(C.cone_orders) // prod(B.cone_orders)
         if hbar % h_cover:
@@ -357,7 +373,7 @@ def _decide_directed(
         if cov.kind == SFS and any(gcd(d_f, w) != 1 for w in C.cone_orders):
             obstructions.add(GCD_CONDITION)
             continue
-        for sys in reversed(systems):  # ascending partitions
+        for sys in reversed(partition_systems(C, B, d_o)):  # ascending partitions
             inter = pullback(base.invariants, sys)
             if cov.kind == LENS:
                 dd = lens_covers(cov.lens, sfs_to_lens(inter))

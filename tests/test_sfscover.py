@@ -17,9 +17,17 @@ from dehncover.core import (
     sfs_equivalent,
 )
 from dehncover.surgery import SFS, classify_surgery, surgery_seifert_invariants
-from dehncover.orbcover import PartitionSystem, classify_cover, partition_systems
+from dehncover import sfscover
+from dehncover.orbcover import (
+    UNCONSTRAINED,
+    PartitionSystem,
+    _covers_by_degree,
+    classify_cover,
+    partition_systems,
+)
 from dehncover.sfscover import (
     CHI_MISMATCH,
+    GCD_CONDITION,
     H1_DIVISIBILITY,
     NO_ORBIFOLD_COVER,
     LENS_DIVISIBILITY,
@@ -483,6 +491,66 @@ def test_decide_pair_exceptional_box_frozen():
                     pairs += 1
     assert pairs == 185_280
     assert digest.hexdigest()[:16] == "fe9d59502eb424bf"
+
+
+def test_every_cover_candidate_has_a_partition_system():
+    # _decide_directed runs the H1 and gcd checks before it lists a
+    # candidate's partition systems.  That moves no reason because every
+    # candidate is a table row, and every row has a system: checked here over
+    # every finite-degree row of S^2(a,b,c), 2 <= a <= b <= c <= 12 (the
+    # lens candidates S^2 and S^2(d,d) among them), and over the chi = 0 rows
+    # of the three chi = 0 bases at every degree <= 300
+    rows = 0
+    for a in range(2, 13):
+        for b in range(a, 13):
+            for c in range(b, 13):
+                B = Orbifold2((a, b, c))
+                by_degree = _covers_by_degree(B.cone_orders)
+                for n, covers in by_degree.items():
+                    if n == UNCONSTRAINED:
+                        continue
+                    for C in covers:
+                        assert partition_systems(Orbifold2(C), B, n), (C, B, n)
+                        rows += 1
+                for L in _lens_candidate_bases(B):
+                    for n in classify_cover(L, B).finite:
+                        assert L.cone_orders in by_degree[n], (L, B, n)
+    assert rows == 430
+    self_covers = []
+    for base in ((2, 3, 6), (2, 4, 4), (3, 3, 3)):
+        B = Orbifold2(base)
+        for C in _covers_by_degree(base)[UNCONSTRAINED]:
+            degrees = classify_cover(Orbifold2(C), B)
+            for n in range(1, 301):
+                if n in degrees:
+                    assert partition_systems(Orbifold2(C), B, n), (C, B, n)
+                    if C == base == (2, 3, 6):
+                        self_covers.append(n)
+    assert self_covers == [n for n in range(1, 301) if is_loeschian(n)]
+
+
+def test_arithmetic_checks_come_before_partition_systems(monkeypatch):
+    # a candidate that fails H1 divisibility or the gcd condition lists no
+    # partition system; a positive decision lists its candidate's once
+    calls = []
+
+    def counting(C, B, n):
+        calls.append((C, B, n))
+        return partition_systems(C, B, n)
+
+    monkeypatch.setattr(sfscover, "partition_systems", counting)
+    for K, a, b, reason, want in (
+        (K23, 5, 2, H1_DIVISIBILITY, 0),
+        (K25, 9, 8, H1_DIVISIBILITY, 0),
+        (K23, 3, 9, GCD_CONDITION, 0),
+        (K23, 5, 1, None, 1),
+    ):
+        calls.clear()
+        dec = decide_cover_directed.__wrapped__(K, Slope(a, 1), Slope(b, 1))
+        assert (dec.reason, len(calls)) == (reason, want), (K, a, b, calls)
+    cert = dec.certificate
+    assert (cert.total_degree, cert.fiberwise_degree, cert.orbifold_degree) == (24, 2, 12)
+    assert calls == [(Orbifold2((5, 5)), Orbifold2((2, 3, 5)), 12)]
 
 
 def test_chi_zero_base_matches_a_degree_brute_force():
