@@ -35,6 +35,7 @@ from .hyperbolic import (
 from .surgery import LENS, SFS, classify_surgery, find_surgery_slopes
 from .orbcover import (
     _NEG_SPORADIC,
+    ORACLE_BUDGET,
     BudgetExceededError,
     _covers_by_degree,
     perm_cover_oracle,
@@ -48,7 +49,7 @@ from .sfscover import decide_pair
 class Config:
     """Runtime knobs shared by the commands."""
 
-    oracle_degree_budget: int = 12
+    oracle_degree_budget: int = ORACLE_BUDGET
     volume_tolerance: float = 1e-4
     output_format: str = "text"
 
@@ -144,9 +145,8 @@ _REASON_TEXT = {
 def cmd_cover(args) -> int:
     K = TorusKnot(args.r, args.s)
     a, b = Slope(args.p, args.q), Slope(args.p2, args.q2)
-    budget = args.cfg.oracle_degree_budget
     # reverse is None only when forward covers; a NO names both obstructions
-    forward, reverse = decide_pair(K, a, b, budget)
+    forward, reverse = decide_pair(K, a, b)
     dec = forward if reverse is None else reverse
     if dec.covers:
         cert = dec.certificate
@@ -214,27 +214,24 @@ def _scan_bases(max_order: int = 9):
 def cmd_verify_tables(args) -> int:
     if args.max_degree < 1:
         raise ValueError("max degree must be >= 1")
-    budget = max(args.cfg.oracle_degree_budget, 12)
-    diffs = 0
-    documented = []
+    # at least the degree of every targeted row, so that each is checked
+    budget = max(args.cfg.oracle_degree_budget, *(n for _c, _b, n in TARGETED_ROWS))
+    if args.max_degree > budget:  # refused before the scan prints a row
+        raise BudgetExceededError(budget)
     seen = {}
 
     def check(base: Orbifold2, n: int):
-        nonlocal diffs
         key = (base.cone_orders, n)
         if key in seen:
             return seen[key]
         rep = verify_pair(base, n, budget=budget)
         seen[key] = rep
         if not rep.clean:
-            diffs += 1
             print(
                 f"DIFF\tbase={_fmt_orders(rep.base)}\tn={n}\t"
                 f"oracle-only={[_fmt_orders(o) for o in rep.oracle_only]}\t"
                 f"table-only={[_fmt_orders(o) for o in rep.table_only]}"
             )
-        for cov in rep.documented:
-            documented.append((cov, rep.base, n))
         for cov in rep.extra_multicone:
             print(
                 f"INFO\tmulti-cone cover {_fmt_orders(cov)} -> "
@@ -243,14 +240,12 @@ def cmd_verify_tables(args) -> int:
         return rep
 
     targeted_fail = 0
-    if not args.targeted:
-        for base in _scan_bases(9):
-            for n in range(1, min(args.max_degree, 9) + 1):
-                check(base, n)
-        extra_bases = sorted({b for _c, b, _n in TARGETED_ROWS})
-        for orders in extra_bases:
-            for n in range(10, args.max_degree + 1):
-                check(Orbifold2(orders), n)
+    for base in _scan_bases(9):
+        for n in range(1, min(args.max_degree, 9) + 1):
+            check(base, n)
+    for orders in sorted({b for _c, b, _n in TARGETED_ROWS}):
+        for n in range(10, args.max_degree + 1):
+            check(Orbifold2(orders), n)
     for cov, orders, n in TARGETED_ROWS:
         rep = check(Orbifold2(orders), n)
         ok = cov in table_covers(Orbifold2(orders), n) and cov not in rep.table_only
@@ -258,14 +253,16 @@ def cmd_verify_tables(args) -> int:
             targeted_fail += 1
         print(f"TARGETED\t{_fmt_orders(cov)} -> {_fmt_orders(orders)} @ {n}\t"
               f"{'OK' if ok else 'MISSING'}")
-    for cov, borders, n in sorted(set(documented)):
+    diffs = sum(not rep.clean for rep in seen.values())
+    documented = {(cov, rep.base, rep.degree) for rep in seen.values() for cov in rep.documented}
+    for cov, borders, n in sorted(documented):
         print(
             f"DOCUMENTED\t{_fmt_orders(cov)} -> {_fmt_orders(borders)} @ {n}\t"
             "(complete-table row absent from the abbreviated summary variant)"
         )
     if diffs == 0 and targeted_fail == 0:
         print(f"PASS verified {len(seen)} (base, degree) pairs, 0 diffs, "
-              f"{len(set(documented))} documented rows")
+              f"{len(documented)} documented rows")
         return 0
     print(f"FAIL {diffs} diffs, {targeted_fail} targeted rows missing")
     return 1
@@ -356,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     # given fall back to the Config field defaults in main().
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="degree budget for permutation-oracle enumeration "
-                             f"(default {Config.oracle_degree_budget})")
+                        help="degree budget of the permutation oracle in orb-covers and "
+                             f"verify-tables (default {Config.oracle_degree_budget})")
     common.add_argument("--format", choices=("text", "tsv"), default=argparse.SUPPRESS,
                         help=f"output format for report commands (default {Config.output_format})")
     common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
@@ -398,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="compare the oracle against the classification tables", parents=[common])
     p.add_argument("max_degree", type=int)
-    p.add_argument("--targeted", action="store_true",
-                   help="only run the sporadic high-degree rows")
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("realize", help="find slopes realizing a target manifold on T(r,s)", parents=[common])

@@ -49,6 +49,10 @@ class BudgetExceededError(RuntimeError):
         self.bound = bound
 
 
+# The oracle's default degree bound, and the orbifold degree up to which a
+# cover certificate carries a monodromy witness.
+ORACLE_BUDGET = 12
+
 # Marker: both orbifolds have chi = 0, so chi forces no degree.  Callers
 # test it with `is`.
 UNCONSTRAINED = "UNCONSTRAINED"
@@ -459,7 +463,7 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
     return PermWitness(n, tuple(base3), triple[r:] + triple[:r])
 
 
-def perm_cover_oracle(base: Orbifold2, n: int, budget: int = 12) -> dict[tuple[int, ...], PermWitness]:
+def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> dict[tuple[int, ...], PermWitness]:
     """Enumerate all branched-cover types of the base orbifold at degree n.
 
     Returns a witness per distinct cover, keyed by the cover's cone orders
@@ -730,7 +734,7 @@ def summary_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
 
 
 def oracle_covers(
-    base: Orbifold2, n: int, budget: int = 12
+    base: Orbifold2, n: int, budget: int = ORACLE_BUDGET
 ) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], PermWitness]]:
     """Covers found by the permutation oracle at degree n: the set of covers
     with <= 3 cone points (comparable with the tables) plus the full witness
@@ -755,7 +759,7 @@ class PairReport:
         return not self.oracle_only and not self.table_only
 
 
-def verify_pair(base: Orbifold2, n: int, budget: int = 12) -> PairReport:
+def verify_pair(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> PairReport:
     oracle_set, witnesses = oracle_covers(base, n, budget)
     table_set = table_covers(base, n)
     return PairReport(

@@ -48,9 +48,10 @@ are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
 b~ is an integer by one divmod on the integer Euler pair
 (core.euler_pair), building no Fraction.  A partition system keeps its
 branched parts and unbranched counts, which pullback folds into b in one
-step, so past the oracle's degree budget nothing grows with the orbifold
-degree.  A certificate's witness, found up to that budget, realises its own
-partition system: its cycle types are the system's cycle_types().
+step, so nothing grows with the orbifold degree past orbcover.ORACLE_BUDGET.
+Up to that degree a certificate carries a monodromy witness, which realises
+its own partition system (its cycle types are the system's cycle_types());
+the witness only cross-certifies and never decides a pair.
 """
 from __future__ import annotations
 
@@ -78,6 +79,7 @@ from .surgery import (
     surgery_seifert_invariants,
 )
 from .orbcover import (
+    ORACLE_BUDGET,
     PartitionSystem,
     PermWitness,
     _witness_for_types,
@@ -175,8 +177,8 @@ class CoverCertificate:
     total_degree = fiberwise_degree * orbifold_degree.  intermediate is the
     pullback of the base manifold along the orbifold cover (the space the
     fiberwise factor lands on); for a trivial orbifold part it is just the
-    base manifold.  perm_witness cross-certifies the orbifold cover when the
-    oracle budget allows.
+    base manifold.  perm_witness cross-certifies the orbifold cover; it is
+    None when the orbifold degree is past orbcover.ORACLE_BUDGET.
     """
 
     cover_slope: Slope
@@ -205,11 +207,14 @@ class CoverDecision:
         return self.certificate.total_degree if self.certificate else None
 
 
-@lru_cache(maxsize=None)
-def _oracle_witness(sys: PartitionSystem, budget: int) -> PermWitness | None:
+# Hits: 9 of 21 calls per exceptional-scan round (seed 1, full size), 797 of
+# 1,051 over the box |p| <= 60, q <= 8 on five knots (254 entries).  An entry
+# (a system and a witness of degree <= 12, or None) is under 0.75 KB: < 1 MB.
+@lru_cache(maxsize=1024)
+def _oracle_witness(sys: PartitionSystem) -> PermWitness | None:
     """A monodromy witness whose cycle types are sys.cycle_types(); None
-    when the degree is over budget."""
-    if sys.degree > budget:
+    when the degree is past ORACLE_BUDGET."""
+    if sys.degree > ORACLE_BUDGET:
         return None
     witness = _witness_for_types(sys.degree, sys.base_orders, sys.cycle_types())
     if witness is None:
@@ -308,7 +313,6 @@ def _decide_directed(
     base_slope: Slope,
     cov: SurgeryClassification,
     base: SurgeryClassification,
-    budget: int,
 ) -> CoverDecision:
     """Decide whether the cover_slope surgery, classified as cov, covers the
     base_slope surgery, classified as base.  Uncached: decide_pair and
@@ -393,7 +397,7 @@ def _decide_directed(
                 d_f,
                 d_o,
                 partition_system=sys,
-                perm_witness=_oracle_witness(sys, budget),
+                perm_witness=_oracle_witness(sys),
                 intermediate=inter,
             )
             return CoverDecision(True, cert)
@@ -408,9 +412,7 @@ def _decide_directed(
 
 
 @lru_cache(maxsize=1 << 20)
-def decide_cover_directed(
-    K: TorusKnot, cover_slope: Slope, base_slope: Slope, budget: int = 12
-) -> CoverDecision:
+def decide_cover_directed(K: TorusKnot, cover_slope: Slope, base_slope: Slope) -> CoverDecision:
     """Decide whether the cover_slope surgery covers the base_slope surgery.
 
     One direction, cached.  decide_cover and the cover command go through
@@ -424,13 +426,10 @@ def decide_cover_directed(
         base_slope,
         classify_surgery(K, cover_slope),
         classify_surgery(K, base_slope),
-        budget,
     )
 
 
-def decide_pair(
-    K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12
-) -> tuple[CoverDecision, CoverDecision | None]:
+def decide_pair(K: TorusKnot, slope_a: Slope, slope_b: Slope) -> tuple[CoverDecision, CoverDecision | None]:
     """Decide a -> b, then b -> a when a -> b does not cover.
 
     Each slope is classified once for both directions, and no decision is
@@ -452,13 +451,13 @@ def decide_pair(
         and riemann_hurwitz_degree(cb.orbifold, ca.orbifold) is None
     ):
         return _NO_CHI_MISMATCH, _NO_CHI_MISMATCH
-    forward = _decide_directed(slope_a, slope_b, ca, cb, budget)
+    forward = _decide_directed(slope_a, slope_b, ca, cb)
     if forward.covers:
         return forward, None
-    return forward, _decide_directed(slope_b, slope_a, cb, ca, budget)
+    return forward, _decide_directed(slope_b, slope_a, cb, ca)
 
 
-def decide_cover(K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12) -> CoverDecision:
+def decide_cover(K: TorusKnot, slope_a: Slope, slope_b: Slope) -> CoverDecision:
     """Decide whether a covering map exists between the two surgeries, in
     either direction; the certificate names which slope is the cover.
 
@@ -467,7 +466,7 @@ def decide_cover(K: TorusKnot, slope_a: Slope, slope_b: Slope, budget: int = 12)
     first, then b -> a.)  A positive decision is the one that covers; a
     negative one is a -> b's, whose obstruction it reports.
     """
-    forward, reverse = decide_pair(K, slope_a, slope_b, budget)
+    forward, reverse = decide_pair(K, slope_a, slope_b)
     if reverse is not None and reverse.covers:
         return reverse
     return forward

@@ -174,7 +174,8 @@ def test_verify_tables_usage_error(capsys):
 
 
 def test_verify_tables_targeted(capsys):
-    code, out, _ = run(capsys, "verify-tables", 12, "--targeted")
+    # the scan to degree 12 checks every sporadic row at its own degree
+    code, out, _ = run(capsys, "verify-tables", 12)
     assert code == 0
     lines = out.splitlines()
     targeted = [l for l in lines if l.startswith("TARGETED")]
@@ -183,6 +184,14 @@ def test_verify_tables_targeted(capsys):
     assert "(3,8,8) -> (2,3,8) @ 10" in out
     assert "(9,9,9) -> (2,3,9) @ 12" in out
     assert lines[-1].startswith("PASS")
+
+
+def test_verify_tables_budget_exceeded(capsys):
+    # refused before the scan prints a row, as orb-covers is
+    code, out, err = run(capsys, "verify-tables", 13)
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration budget exceeded (degree bound 12)\n"
 
 
 # --- realize
@@ -230,10 +239,19 @@ def test_short_slopes_counts(capsys, census_file):
         assert int(count) <= 32
 
 
-def test_cover_low_budget_skips_witness_but_decides(capsys):
-    code, out, _ = run(capsys, "--budget", 3, "cover", 2, 3, 5, 1, 45, 7)
-    assert code == 0
-    assert out.splitlines()[0].startswith("COVERS degree 72")
+@pytest.mark.parametrize("budget", [3, 200])
+@pytest.mark.parametrize("slopes, first", [
+    ((5, 1, 45, 7), "COVERS degree 72 (fiberwise 18 × orbifold 4)"),
+    # orbifold degree 103: a witness search at that degree does not end
+    ((1236, 205, 12, 1), "COVERS degree 103 (fiberwise 1 × orbifold 103)"),
+], ids=["orbifold-4", "orbifold-103"])
+def test_cover_output_does_not_read_the_budget(capsys, budget, slopes, first):
+    code, want, _ = run(capsys, "cover", 2, 3, *slopes)
+    assert code == 0 and want.splitlines()[0] == first
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--budget", budget, "cover", 2, 3, *slopes)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (0, want)
 
 
 def test_short_slopes_text_mode(capsys, census_file):

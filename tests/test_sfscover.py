@@ -19,6 +19,7 @@ from dehncover.core import (
 from dehncover.surgery import SFS, classify_surgery, surgery_seifert_invariants
 from dehncover import sfscover
 from dehncover.orbcover import (
+    ORACLE_BUDGET,
     UNCONSTRAINED,
     PartitionSystem,
     _covers_by_degree,
@@ -634,9 +635,9 @@ def test_witness_attached_to_composite_certificate():
 
 
 def test_oracle_witness_realises_the_given_system():
-    # the witness's cycle types are the system's cycle_types(); over budget
-    # there is none, and branch data no monodromy realises (the classic
-    # degree-4 exception 2+2, 2+2, 3+1) raises
+    # the witness's cycle types are the system's cycle_types(); past
+    # ORACLE_BUDGET there is none, and branch data no monodromy realises
+    # (the classic degree-4 exception 2+2, 2+2, 3+1) raises
     # (2+2, 2+1+1, 4) and (2+2, 2+2, 2+2) both give S2(2,2) -> S2(2,2,4);
     # the systems name only their branched parts
     for sys in (
@@ -645,13 +646,15 @@ def test_oracle_witness_realises_the_given_system():
         PartitionSystem(4, (2, 2, 4), ((), (), (2, 2))),
         PartitionSystem(2, (2, 2, 2), ((1, 1), (), ())),
     ):
-        assert _oracle_witness(sys, 12).partition_system() == sys
-        assert _oracle_witness(sys, 12).cycle_types == sys.cycle_types()
-        assert _oracle_witness(sys, sys.degree - 1) is None
+        assert _oracle_witness(sys).partition_system() == sys
+        assert _oracle_witness(sys).cycle_types == sys.cycle_types()
+    # S2(2,2,2) -> S2(2,3,5) at degree 15, a table row past the budget
+    over = PartitionSystem(15, (2, 3, 5), ((1, 1, 1), (), ()))
+    assert over.degree > ORACLE_BUDGET
+    assert _oracle_witness(over) is None
     bad = PartitionSystem(4, (2, 2, 3), ((), (), (1,)))
-    assert _oracle_witness(bad, 3) is None
     with pytest.raises(RuntimeError, match="no monodromy"):
-        _oracle_witness(bad, 12)
+        _oracle_witness(bad)
 
 
 def test_820_chi_obstruction_regression():
