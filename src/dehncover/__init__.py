@@ -59,10 +59,8 @@ from .hyperbolic import (
     enumerate_short_slopes,
     normalize_cusp,
     normalized_cutoff,
-    rank_obstruction,
     read_census,
     short_slope_box,
-    slope_length,
     vcsc_length_bound,
 )
 

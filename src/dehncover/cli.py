@@ -86,6 +86,11 @@ MAX_SHORT_SLOPES = 10**6
 # limit); a --max-degree past this is refused rather than left to run
 MAX_FAMILY_DEGREE = 10**5
 
+# orb-covers finds the divisors of each cone order by trial division up to
+# its square root (about 0.06 s at the limit, 0.6 s at 10^14); a larger
+# order is refused rather than left to run
+MAX_CONE_ORDER = 10**12
+
 
 def _fmt_orders(orders) -> str:
     return "(%s)" % ",".join(str(v) for v in orders)
@@ -171,7 +176,10 @@ def cmd_cover(args) -> int:
 
 def _parse_base(text: str) -> Orbifold2:
     try:
-        return Orbifold2(tuple(int(v) for v in text.split(",") if v.strip()))
+        orders = tuple(int(v) for v in text.split(",") if v.strip())
+        if max(orders, default=0) > MAX_CONE_ORDER:
+            raise ValueError(f"cone order {max(orders):,} is past the limit of {MAX_CONE_ORDER:,}")
+        return Orbifold2(orders)
     except ValueError as exc:
         raise ValueError(f"bad --base {text!r}: {exc}")
 

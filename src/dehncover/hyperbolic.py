@@ -24,8 +24,12 @@ reduced lattice with F <= N are walked row by row with math.isqrt, so no
 tolerance enters the decision and no shape is too thin or too skewed.  The
 lattice has area 1, so the walk visits about (k|u| + 1)(2k/|u| + 3) points
 however thin the cusp is, where walking the box of short_slope_box grows
-like 1/sqrt(Im(shape)).  Lengths stay floats only where they are printed
-and sorted.
+like 1/sqrt(Im(shape)).  The same integers order the slopes: the walk
+gives each point the integer K = 4 a F(p, q), with a the first coefficient
+of the reduced form, so length^2 = K / S for one integer scale S per cusp.
+Slopes sort by (K, p, q), that is by exact length, ties by (p, q), and a
+float length is made only by enumerate_short_slopes, for the short-slopes
+listing.
 
 A filling g matches a candidate base f at degree n when vol(g) = n vol(f)
 within the tolerance (_volume_match), for the degrees n >= 2 with n vol(f)
@@ -134,14 +138,6 @@ def normalize_cusp(shape: complex) -> NormalizedCusp:
     return cusp
 
 
-def slope_length(slope: Slope, cusp: NormalizedCusp) -> float:
-    """Normalized length |p m + q l| = |p + q s| m of the surgery curve.
-    The real part p + q Re(s) is rounded once from its exact value, so a
-    skewed shape, where p m and q Re(l) nearly cancel, keeps its accuracy."""
-    xn, xd = cusp.shape.real.as_integer_ratio()
-    return abs(complex((slope.p * xd + slope.q * xn) / xd * cusp.m, slope.q * cusp.l.imag))
-
-
 def short_slope_box(k: float, cusp: NormalizedCusp) -> tuple[float, float]:
     """(a, b) such that any slope with |p| > a or |q| > b has normalized
     length greater than k."""
@@ -168,31 +164,26 @@ def _gauss_reduce(a: int, b: int, c: int):
         a, c, pu, qu, pv, qv = c, a, pv, qv, pu, qu
 
 
-def _short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[float, int, int]]:
-    """(length, p, q) for every primitive slope of normalized length <= k,
-    with (p, q) normalised as Slope stores it (q >= 0, 1/0 for infinity),
-    sorted: by the float length, ties by (p, q).
+def _short_slopes(cusp: NormalizedCusp, k: float) -> tuple[int, list[tuple[int, int, int]]]:
+    """(S, [(K, p, q), ...]) for every primitive slope p/q of normalized
+    length <= k, with (p, q) normalised as Slope stores it (q >= 0, 1/0 for
+    infinity), sorted by (K, p, q).  K is an integer and the length of p/q
+    is sqrt(K / S) exactly, for the one integer scale S of the cusp, so the
+    order is that of the exact lengths, ties by (p, q).
 
-    The decision is exact.  Every float is a dyadic rational, so the shape
-    is s = (X + Y i)/D in integers, with D a power of two, and k = kn/kd.
-    The normalized length of p/q is |p + q s|/sqrt(|Im s|), so D |Y|
-    length^2 is the integer form F(p, q) = (p D + q X)^2 + (q Y)^2, and p/q
-    is short exactly when F(p, q) <= N = floor(kn^2 D |Y| / kd^2).  In the
-    basis (u, v) of the Gauss-reduced form (a, b, c) of F (_gauss_reduce),
-    4 a F(x u + y v) = (2 a x + b y)^2 + Delta y^2 with Delta = 4 a c - b^2.
-    So row y >= 1 holds short points only for y <= isqrt(4 a N // Delta),
-    and there exactly the x with |2 a x + b y| <= isqrt(4 a N - Delta y^2).
-    A vector and its negative give the same slope, so rows y < 0 are not
-    walked and row 0 holds u alone, when a <= N.  The walk visits about
-    (k|u| + 1)(2k/|u| + 3) points, with |u|^2 <= 2/sqrt(3), however thin or
-    skewed the cusp.
-
-    Lengths are only printed and sorted.  Each is the float |x u + y v| of
-    the normalized vectors u and v, rounded from the exact integers; a
-    reduced basis has no cancellation, so the length is within a few ulps of
-    the exact one.  Neither vector overflows: u is 1/0, of length m, or has
-    length at least sqrt(|Im s|), and |u| |v| <= 2/sqrt(3).  Slopes of
-    exactly equal length can get floats an ulp apart, and then follow them.
+    Every float is a dyadic rational, so the shape is s = (X + Y i)/D in
+    integers, with D a power of two, and k = kn/kd.  The normalized length
+    of p/q is |p + q s|/sqrt(|Im s|), so D |Y| length^2 is the integer form
+    F(p, q) = (p D + q X)^2 + (q Y)^2, and p/q is short exactly when
+    F(p, q) <= N = floor(kn^2 D |Y| / kd^2).  In the basis (u, v) of the
+    Gauss-reduced form (a, b, c) of F (_gauss_reduce), the point x u + y v
+    has w = 2 a x + b y and K = w^2 + Delta y^2 = 4 a F(x u + y v), with
+    Delta = 4 a c - b^2, so S = 4 a D |Y|.  Row y >= 1 holds short points
+    only for y <= isqrt(4 a N // Delta), and there exactly the x with
+    |w| <= isqrt(4 a N - Delta y^2).  A vector and its negative give the
+    same slope, so rows y < 0 are not walked and row 0 holds u alone, with
+    K = 4 a^2, when a <= N.  The walk visits about (k|u| + 1)(2k/|u| + 3)
+    points, with |u|^2 <= 2/sqrt(3), however thin or skewed the cusp.
     """
     _check_length_bound(k)
     (xn, xd), (yn, yd) = cusp.shape.real.as_integer_ratio(), cusp.shape.imag.as_integer_ratio()
@@ -201,29 +192,37 @@ def _short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[float, int, int]
     kn, kd = k.as_integer_ratio()
     bound = kn * kn * d * y0 // (kd * kd)
     (a, b, c), (pu, qu), (pv, qv) = _gauss_reduce(d * d, 2 * d * x0, x0 * x0 + y0 * y0)
-    m = cusp.m
-    u = complex((pu * d + qu * x0) / d * m, qu * y0 / d * m)
-    v = complex((pv * d + qv * x0) / d * m, qv * y0 / d * m)
     out = []
     if a <= bound:
-        out.append((abs(u), pu, qu) if qu > 0 or (qu == 0 and pu > 0) else (abs(u), -pu, -qu))
+        out.append((4 * a * a, pu, qu) if qu > 0 or (qu == 0 and pu > 0) else (4 * a * a, -pu, -qu))
     two_a, four_an, delta = 2 * a, 4 * a * bound, 4 * a * c - b * b
     for y in range(1, isqrt(four_an // delta) + 1):
-        t = isqrt(four_an - delta * y * y)
-        for x in range(-((t + b * y) // two_a), (t - b * y) // two_a + 1):
+        by, dyy = b * y, delta * y * y
+        t = isqrt(four_an - dyy)
+        for x in range(-((t + by) // two_a), (t - by) // two_a + 1):
             if gcd(x, y) == 1:
                 p, q = x * pu + y * pv, x * qu + y * qv
                 if q < 0 or (q == 0 and p < 0):
                     p, q = -p, -q
-                out.append((abs(x * u + y * v), p, q))
+                w = two_a * x + by
+                out.append((w * w + dyy, p, q))
     out.sort()
-    return out
+    return 4 * a * d * y0, out
 
 
 def enumerate_short_slopes(cusp: NormalizedCusp, k: float) -> list[tuple[Slope, float]]:
     """All primitive slopes (q >= 0) of normalized length <= k, sorted by
-    length (ties by (p, q)); see _short_slopes for the walk."""
-    return [(Slope(p, q), length) for length, p, q in _short_slopes(cusp, k)]
+    exact length, ties by (p, q); see _short_slopes for the walk.  Each
+    length is the root of K / S from one correctly rounded integer division,
+    the only float the walk leads to.  A K / S below 2^-1022 would round to
+    a subnormal, so 4^j K is divided instead and j taken off the root's
+    exponent, which keeps lengths under 1e-154 as accurate as the rest."""
+    scale, short = _short_slopes(cusp, k)
+    out = []
+    for key, p, q in short:
+        j = max(0, scale.bit_length() - key.bit_length() - 1000) // 2
+        out.append((Slope(p, q), math.ldexp(math.sqrt((key << 2 * j) / scale), -j)))
+    return out
 
 
 def _volume_match(vol_cover: float, n: int, vol_base: float, tol: float) -> bool:
@@ -259,12 +258,6 @@ def degree2_h1_obstruction(p: int) -> bool:
     if p < 0:
         raise ValueError("p is an order, must be >= 0")
     return p % 2 == 1
-
-
-def rank_obstruction(rank_cover: int, rank_base: int) -> bool:
-    """True iff the transfer map obstructs the cover: the covered manifold
-    cannot have larger rational homology rank than the covering one."""
-    return rank_base > rank_cover
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +369,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     half = rec.volume_complement / 2.0
     too_big = f" > complement/2 = {half:.7f} (tolerance-sensitive)"
     rows = []
-    for _length, p, q in _short_slopes(rec.cusp, cutoff):
+    for _key, p, q in _short_slopes(rec.cusp, cutoff)[1]:
         if q == 0:
             continue  # the trivial filling 1/0 is not a surgery
         base = f"{p}/{q}"  # str(Slope(p, q))
@@ -405,7 +398,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
         # candidate covered base; a degree-n cover would be a surgery of
         # volume n * vol, still below the complement volume
         reasons = []
-        if p == 0 and rank_obstruction(rank_cover=0, rank_base=1):
+        if p == 0:  # only 0/1 has b_1 = 1, and a cover's b_1 is at least its base's
             degrees = range(0)
             reasons.append("rank: 0-surgery is never covered by another surgery")
         else:

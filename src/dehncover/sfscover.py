@@ -258,6 +258,10 @@ def _chi_zero_degree(h_cover: int, h_base: int) -> int:
     exceptional fibers in the pullback; the lift then depends only on d_f
     (mod 6), which is that of j = 1, since its euler number d_o e(B) / d_f
     is the same for every j.
+
+    The degree m * m2 is itself Loeschian (its primes = 2 (mod 3) have even
+    exponents), so classify_cover(S^2(2,3,6), S^2(2,3,6)), the Loeschian
+    family, always admits it and is not consulted.
     """
     m = h_cover // gcd(h_cover, h_base)
     m2, rest, f = 1, m, 2
@@ -357,13 +361,10 @@ def _decide_directed(
     candidates: list[tuple[int, Orbifold2]] = []
     chi_zero = not B.chi[0]
     for C in C_list:
-        degs = classify_cover(C, B)
-        if chi_zero:  # one degree decides (see _chi_zero_degree)
-            d = _chi_zero_degree(h_cover, abs(base_slope.p))
-            admitted = [d] if d in degs else []
+        if chi_zero:  # one degree decides, and C = B admits it (see _chi_zero_degree)
+            candidates.append((_chi_zero_degree(h_cover, abs(base_slope.p)), C))
         else:
-            admitted = sorted(degs.finite)
-        candidates.extend((d, C) for d in admitted)
+            candidates.extend((d, C) for d in sorted(classify_cover(C, B).finite))
     candidates.sort(key=lambda t: (t[0], t[1].cone_orders))
 
     obstructions = set()

@@ -167,6 +167,22 @@ def test_orb_covers_table_refuses_a_long_chi_zero_family(capsys):
                    "degree by degree; the limit is 100,000\n")
 
 
+def test_orb_covers_refuses_a_huge_cone_order(capsys):
+    # listing the divisors of 10^20 - 1 by trial division ran past `timeout 15`
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orb-covers", "--base", "2,99999999999999999999", "--max-degree", 2, "--table")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("error: bad --base '2,99999999999999999999': cone order "
+                   "99,999,999,999,999,999,999 is past the limit of 1,000,000,000,000\n")
+    # the largest prime within the limit is listed at once
+    assert cli.MAX_CONE_ORDER == 10**12
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "orb-covers", "--base", "2,3,999999999989", "--max-degree", 2, "--table")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "(2,3,999999999989)\t1\ttable\n")
+
+
 def test_verify_tables_usage_error(capsys):
     code, _, err = run(capsys, "verify-tables", 0)
     assert code == 1
@@ -464,9 +480,11 @@ def test_audit_with_a_huge_tolerance_ends(census_file):
 # and skewed (1000 + 0.05i) records have integer real parts, so mirror slopes
 # such as 8/1 and -6/1, or -2999/3 and -3001/3, have exactly equal lengths and
 # their rows now come in (p, q) order, where the float walk's rounding had
-# decided; 9/2, exactly as long as 1/3 and 5/3, gets a float one ulp below
-# theirs.  Rows moved within five such tie groups; no row changed.
-GOLDEN_AUDIT_SHA256 = "866d4f30f2e3a0b6b3f8960731ef0d9fe2338404e517df2fcb3c7a6562c7bbe7"
+# decided.  Rows moved within five such tie groups; no row changed.  Taken
+# again when slopes were sorted by their exact integer keys: 9/2, exactly as
+# long as -5/2, 1/3 and 5/3, had a float one ulp below the last two and now
+# follows them, so the synthetic rows 9/2, 1/3, 5/3 read 1/3, 5/3, 9/2.
+GOLDEN_AUDIT_SHA256 = "1d2060a88dcc23cdc4836e38d042e33c06e795486adce8083dd7bfd83bd425f3"
 GOLDEN_STATUS = {
     ("4_1", "exceptional"): 9, ("4_1", "eliminated"): 18,
     ("6_1", "exceptional"): 5, ("6_1", "eliminated"): 22,

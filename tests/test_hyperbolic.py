@@ -28,10 +28,8 @@ from dehncover.hyperbolic import (
     normalize_cusp,
     normalized_cutoff,
     parse_census_line,
-    rank_obstruction,
     read_census,
     short_slope_box,
-    slope_length,
     vcsc_length_bound,
 )
 from conftest import FIG8_FILLED, FIG8_VOLUME, SIX1_FILLED, SIX1_VOLUME, all_big_record, fig8_record, six1_record
@@ -66,29 +64,30 @@ def test_normalize_cusp_examples():
             normalize_cusp(bad)
 
 
-def test_slope_length_examples():
-    c = normalize_cusp(complex(0, 1))
-    assert slope_length(Slope(1, 0), c) == 1.0
-    assert slope_length(Slope(0, 1), c) == 1.0
-    assert slope_length(Slope(3, 4), c) == 5.0
+def test_enumerate_short_slopes_lengths():
+    lengths = dict(enumerate_short_slopes(normalize_cusp(complex(0, 1)), 5.0))
+    assert lengths[Slope(1, 0)] == lengths[Slope(0, 1)] == 1.0
+    assert lengths[Slope(3, 4)] == 5.0
     # 10 * 0.7 - 7 is -4.44e-16 and cancels in p m + q Re(l), which in
     # floats read 1e-9 here instead of 4.44e-6
     c = normalize_cusp(complex(0.7, 1e-20))
     exact = math.sqrt((10 * Fraction(0.7) - 7) ** 2 / Fraction(1e-20) + 100 * Fraction(1e-20))
-    assert slope_length(Slope(-7, 10), c) == pytest.approx(exact, rel=1e-12)
-    assert _short_slopes(c, normalized_cutoff())[0] == (pytest.approx(exact, rel=1e-12), -7, 10)
+    assert enumerate_short_slopes(c, normalized_cutoff()) == [(Slope(-7, 10), pytest.approx(exact, rel=1e-12))]
 
 
-def test_slope_length_triangle_inequality():
-    rng = random.Random(1)
-    for _ in range(200):
-        c = random_cusp(rng)
-        p1, q1 = rng.randint(-9, 9), rng.randint(-9, 9)
-        p2, q2 = rng.randint(-9, 9), rng.randint(-9, 9)
-        v1 = abs(p1 * c.m + q1 * c.l)
-        v2 = abs(p2 * c.m + q2 * c.l)
-        v12 = abs((p1 + p2) * c.m + (q1 + q2) * c.l)
-        assert v12 <= v1 + v2 + 1e-12
+def test_exact_ties_and_near_ties_keep_the_exact_order():
+    # -5/2, 1/3, 5/3 and 9/2 all have squared length exactly 85/3 on -1 + 3i,
+    # so they come in (p, q) order; float lengths had put 9/2 before 1/3
+    cusp = normalize_cusp(complex(-1.0, 3.0))
+    got = [(s.p, s.q) for s, _ in enumerate_short_slopes(cusp, normalized_cutoff())]
+    exact = exact_length2(cusp.shape, normalized_cutoff())
+    tie = [(p, q) for p, q in got if exact(p, q) == Fraction(85, 3)]
+    assert tie == [(-5, 2), (1, 3), (5, 3), (9, 2)]
+    assert got[got.index(tie[0]):][:4] == tie
+    # 0/1 is longer than 1/0 by a relative 5e-126 on 3.3e-63 + i, below any
+    # float's resolution; the float walk listed it first
+    cusp = normalize_cusp(complex(3.3e-63, 1.0))
+    assert [s for s, _ in enumerate_short_slopes(cusp, normalized_cutoff())][:2] == [Slope(1, 0), Slope(0, 1)]
 
 
 # --- the box bound
@@ -151,16 +150,16 @@ def box_loop_short_slopes(cusp, k):
     return sorted(out)
 
 
-def assert_matches_exact(got, want):
-    """got, from _short_slopes, lists exactly the slopes of want, each once
-    and with a float length within 1e-12 relative of the exact one, sorted
-    by (length, p, q).  So got follows the exact order of want wherever two
-    exact lengths differ by more than the rounding of the floats."""
-    exact = {(p, q): length2 for length2, p, q in want}
-    assert sorted((p, q) for _length, p, q in got) == sorted(exact)
-    for length, p, q in got:
-        assert abs(Fraction(length) ** 2 / exact[p, q] - 1) <= 2e-12
-    assert got == sorted(got)
+def assert_matches_exact(cusp, k, want):
+    """_short_slopes(cusp, k) lists exactly the (exact squared length, p, q)
+    of want, in its order, as K / S, and enumerate_short_slopes gives each
+    slope a float length within 1e-12 relative of the exact one."""
+    scale, short = _short_slopes(cusp, k)
+    assert [(Fraction(key, scale), p, q) for key, p, q in short] == want
+    got = enumerate_short_slopes(cusp, k)
+    assert [(s.p, s.q) for s, _ in got] == [(p, q) for _, p, q in want]
+    for (_, length), (length2, _p, _q) in zip(got, want):
+        assert abs(Fraction(length) ** 2 / length2 - 1) <= 2e-12
 
 
 @given(
@@ -171,9 +170,7 @@ def assert_matches_exact(got, want):
 )
 def test_enumerate_matches_box_loop(re, im, sign, k):
     cusp = normalize_cusp(complex(re, sign * im))
-    got = _short_slopes(cusp, k)
-    assert_matches_exact(got, box_loop_short_slopes(cusp, k))
-    assert enumerate_short_slopes(cusp, k) == [(Slope(p, q), length) for length, p, q in got]
+    assert_matches_exact(cusp, k, box_loop_short_slopes(cusp, k))
 
 
 def doubled_box_short_slopes(shape, k):
@@ -204,7 +201,7 @@ def doubled_box_short_slopes(shape, k):
 def test_skewed_and_thin_cusps_match_the_exact_reference(im, skew, sign, k):
     # |Re| / |Im| up to 1e8, the range the float walk refused past 1e5
     shape = complex(skew * im, sign * im)
-    assert_matches_exact(_short_slopes(normalize_cusp(shape), k), doubled_box_short_slopes(shape, k))
+    assert_matches_exact(normalize_cusp(shape), k, doubled_box_short_slopes(shape, k))
 
 
 def test_enumerate_thin_cusp_at_once():
@@ -213,7 +210,7 @@ def test_enumerate_thin_cusp_at_once():
     start = time.process_time()
     got = enumerate_short_slopes(cusp, normalized_cutoff())
     assert time.process_time() - start < 0.5
-    assert got == [(Slope(0, 1), slope_length(Slope(0, 1), cusp))]
+    assert [s for s, _ in got] == [Slope(0, 1)]
     assert abs(got[0][1] - 1e-6) < 1e-18
 
 
@@ -260,10 +257,16 @@ def test_every_finite_shape_ends_in_a_result(re, im):
             normalize_cusp(shape)
         return
     start = time.process_time()
-    got = _short_slopes(normalize_cusp(shape), normalized_cutoff())
+    got = enumerate_short_slopes(normalize_cusp(shape), normalized_cutoff())
     assert time.process_time() - start < 0.5
-    assert 1 <= len(got) <= 32 and got == sorted(got)
-    assert all(0 < length <= normalized_cutoff() * (1 + 1e-12) for length, _p, _q in got)
+    assert 1 <= len(got) <= 32
+    # lengths sorted, at most the cutoff, and within 1e-12 of exact, also
+    # where the squared length is a subnormal float or smaller
+    exact = exact_length2(shape, normalized_cutoff())
+    assert [length for _, length in got] == sorted(length for _, length in got)
+    for slope, length in got:
+        assert 0 < length <= normalized_cutoff()
+        assert abs(Fraction(length) ** 2 / exact(slope.p, slope.q) - 1) <= 2e-12
 
 
 def test_the_cutoff_is_exact():
@@ -275,14 +278,23 @@ def test_the_cutoff_is_exact():
 
 
 def test_thin_and_skewed_cusps_walk_exactly():
-    # 0.3 is 5404319552844595 / 2^54, so p/q = -0.3 has p + q s = q Im(s) i
-    # and normalized length 2^54 * 1e-300 / sqrt(1e-300)
-    got = enumerate_short_slopes(normalize_cusp(complex(0.3, 1e-300)), normalized_cutoff())
-    assert got == [(Slope(-5404319552844595, 2**54), pytest.approx(2**54 * 1e-150, rel=1e-12))]
-    # the reduced u is -1e150 + s = 1e-150 i, of length 1e-75; the walk must
-    # not build a float from the 1,048-bit coefficients
-    got = enumerate_short_slopes(normalize_cusp(complex(1e150, 1e-150)), normalized_cutoff())
-    assert got == [(Slope(-int(1e150), 1), pytest.approx(1e-75, rel=1e-12))]
+    for shape, slope in (
+        # 0.3 is 5404319552844595 / 2^54, so p/q = -0.3 has p + q s = q Im(s) i
+        # and normalized length 2^54 * 1e-300 / sqrt(1e-300)
+        (complex(0.3, 1e-300), Slope(-5404319552844595, 2**54)),
+        # the reduced u is -1e150 + s = 1e-150 i, of length 1e-75; the walk
+        # must not build a float from the 1,048-bit coefficients
+        (complex(1e150, 1e-150), Slope(-int(1e150), 1)),
+        # squared lengths 1e-320 and 4.8e-314, subnormal as floats
+        (complex(0.0, 1e-320), Slope(0, 1)),
+        (complex(0.25, 3e-315), Slope(-1, 4)),
+        # squared length 6.8 * 2^-1074, which a subnormal would round to 7
+        (complex(3 * 2.0**-1074, 5 * 2.0**-1074), Slope(0, 1)),
+    ):
+        exact = exact_length2(shape, normalized_cutoff())(slope.p, slope.q)
+        [(got, length)] = enumerate_short_slopes(normalize_cusp(shape), normalized_cutoff())
+        assert got == slope
+        assert abs(Fraction(length) ** 2 / exact - 1) <= 2e-16
 
 
 @pytest.mark.parametrize("shape", [complex(-1.7, 0.1), complex(-2.6, -0.1)])
@@ -299,9 +311,8 @@ def test_short_slopes_normalise_a_reduced_u_with_negative_q(shape):
     assert (a, b, cc) == (form(pu, qu), form(pu + pv, qu + qv) - form(pu, qu) - form(pv, qv), form(pv, qv))
     u = math.sqrt(a / (d * abs(y0)))
     for k in (u * 0.999, u * 1.001, 1.5, 4.0):
-        got = _short_slopes(c, k)
-        assert_matches_exact(got, doubled_box_short_slopes(shape, k))
-        assert ((-pu, -qu) in [(p, q) for _length, p, q in got]) == (k > u)
+        assert_matches_exact(c, k, doubled_box_short_slopes(shape, k))
+        assert ((-pu, -qu) in [(p, q) for _key, p, q in _short_slopes(c, k)[1]]) == (k > u)
 
 
 def test_short_slope_count_and_intersection_bound():
@@ -413,12 +424,6 @@ def test_degree2_obstruction():
     assert degree2_h1_obstruction(1)
     assert not degree2_h1_obstruction(4)
     assert not degree2_h1_obstruction(0)
-
-
-def test_rank_obstruction():
-    assert rank_obstruction(0, 1)
-    assert not rank_obstruction(1, 0)
-    assert not rank_obstruction(1, 1)
 
 
 # --- the audit
@@ -620,16 +625,17 @@ def seeded_census(records, seed, copies):
 
 def test_audit_reports_are_pinned(census_records):
     # the digest is that of the all-pairs audit the bisect replaced, with the
-    # rows of the -1 + 3i records in the order of the exact walk: on that
-    # integer shape 8/1 and -6/1 (and 10/1 and -8/1) have equal lengths and
-    # now come in (p, q) order, where the float walk's rounding had put 8/1
-    # first, and 9/2, exactly as long as 1/3 and 5/3, gets a float one ulp
-    # below theirs; the rows themselves are unchanged
+    # rows of the -1 + 3i records in the exact order of the walk: on that
+    # integer shape mirror slopes such as 8/1 and -6/1 have equal lengths and
+    # come in (p, q) order, and so do -5/2, 1/3, 5/3 and 9/2, all of squared
+    # length 85/3, where float lengths had put 9/2 second.  The synthetic
+    # fixture lists its fillings in that order too, so its seeded copies
+    # draw their rolls for 9/2, 1/3 and 5/3 in a new order.
     h = hashlib.sha256()
     for tol in (0.0, 1e-4, 1e-2):
         for rec in seeded_census(census_records, 7, 20):
             h.update(repr(audit_knot(rec, tol)).encode())
-    assert h.hexdigest()[:16] == "ce8fe87d73b5b7a7"
+    assert h.hexdigest()[:16] == "709a5548229c1346"
 
 
 def test_degree_limit_names_the_record_and_slope():

@@ -21,6 +21,7 @@ from dehncover import sfscover
 from dehncover.orbcover import (
     ORACLE_BUDGET,
     UNCONSTRAINED,
+    DegreeSet,
     PartitionSystem,
     _covers_by_degree,
     classify_cover,
@@ -602,6 +603,14 @@ def test_chi_zero_base_matches_a_degree_brute_force():
     assert cert.partition_system.cycle_types() == ((2, 2), (3, 1), (3, 1))
     assert cert.intermediate == parse_seifert("{0;(2,1),(3,2),(6,1)}")
     assert cert.perm_witness.cover_orders() == (2, 3, 6)
+
+
+def test_chi_zero_degree_is_loeschian():
+    # the self-covers of S^2(2,3,6) are the Loeschian degrees, and the one
+    # degree the decision tries is always among them, so it does not ask
+    B = Orbifold2((2, 3, 6))
+    assert classify_cover(B, B) == DegreeSet(frozenset(), ((1, "loeschian"),))
+    assert all(is_loeschian(_chi_zero_degree(a, b)) for a in range(1, 400) for b in range(1, 400))
 
 
 def test_orientation_reversing_cosmetic_pairs():
