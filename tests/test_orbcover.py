@@ -14,6 +14,7 @@ from dehncover.orbcover import (
     BudgetExceededError,
     PartitionSystem,
     PermWitness,
+    _checked_cycle_types,
     _open_paths,
     _partition_table,
     _triple_for_types,
@@ -237,8 +238,71 @@ def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
                                  (2, (2, 1, 2), ((-2, 1), (0, 1), (0, 1))),
                                  (3, (1, 3, 3), (ident, (1, 2, 3), (2, 0, 1))),
                                  (0, (1, 1, 1), ((), (), ()))]:
-        with pytest.raises(ValueError):
-            PermWitness(degree, base3, perms)
+        # the checks that do not read the base are cached, but an exception
+        # is not, so a second build raises too
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                PermWitness(degree, base3, perms)
+    # the cached triple of a valid witness is still checked against each base
+    for base3 in [(1, 2, 3), (1, 3, 2), (3, 3, 4)]:
+        with pytest.raises(ValueError, match="does not divide"):
+            PermWitness(3, base3, witness.perms)
+    assert PermWitness(3, (2, 6, 3), witness.perms) == PermWitness(3, (2, 6, 3), witness.perms)
+    # the cache hashes perms, so they must be tuples
+    with pytest.raises(TypeError):
+        PermWitness(3, (1, 3, 3), [ident, rot, perm_inverse(rot)])
+
+
+def _cycle_type_reference(x):
+    """cycle_type as it was before the witness check was split, kept as the
+    reference for the current one."""
+    n = len(x)
+    seen = [False] * n
+    out = []
+    for i in range(n):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = x[j]
+                length += 1
+            out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+def test_split_witness_check_matches_the_three_permutation_reference():
+    # every triple of permutations of degree <= 4, among them every ordered
+    # pair (a, b) with c = (ab)^-1: a witness over orders that every cycle
+    # length divides is built exactly when the product is the identity and
+    # <a, b, c> is transitive, and it keeps the reference cycle types
+    accepted = 0
+    for n in range(1, 5):
+        perms = list(permutations(range(n)))
+        for triple in product(perms, repeat=3):
+            ident = perm_mul(perm_mul(triple[0], triple[1]), triple[2]) == tuple(range(n))
+            if ident and perms_transitive(triple, n):
+                accepted += 1
+                witness = PermWitness(n, (12, 12, 12), triple)
+                assert witness.cycle_types == tuple(map(_cycle_type_reference, triple)), triple
+            else:
+                with pytest.raises(ValueError):
+                    PermWitness(n, (12, 12, 12), triple)
+    # the transitive pairs: 1 at degree 1, 3 at 2, 26 at 3 and 426 at 4
+    assert accepted == 456
+    assert all(cycle_type(x) == _cycle_type_reference(x) for n in range(1, 7) for x in permutations(range(n)))
+
+
+def test_checked_cycle_types_cache_hits_a_repeated_witness():
+    rot = (1, 2, 0)
+    perms = ((0, 1, 2), rot, perm_inverse(rot))
+    _checked_cycle_types.cache_clear()
+    PermWitness(3, (1, 3, 3), perms)
+    assert _checked_cycle_types.cache_info()[:2] == (0, 1)  # hits, misses
+    PermWitness(3, (1, 3, 3), perms)
+    PermWitness(3, (5, 3, 6), tuple(map(tuple, map(list, perms))))  # equal perms, other base
+    assert _checked_cycle_types.cache_info()[:2] == (2, 1)
+    assert _checked_cycle_types.cache_info().maxsize == 1024
 
 
 def test_oracle_finds_sporadic_cover():
