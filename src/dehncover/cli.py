@@ -250,11 +250,6 @@ def cmd_verify_tables(args) -> int:
                 f"oracle-only={[_fmt_orders(o) for o in rep.oracle_only]}\t"
                 f"table-only={[_fmt_orders(o) for o in rep.table_only]}"
             )
-        for cov in rep.extra_multicone:
-            print(
-                f"INFO\tmulti-cone cover {_fmt_orders(cov)} -> "
-                f"{_fmt_orders(rep.base)} @ {n} (outside the <=3-cone-point classification)"
-            )
         return rep
 
     targeted_fail = 0

@@ -9,10 +9,11 @@ Four tools live here:
     at a base point whose order it divides (at most 27 placements and three
     stored branched parts, whatever the degree), listed in descending order
     of their full partitions, each keeping its counts of unbranched parts,
-  * a permutation oracle that certifies exactly which branched covers of S^2
-    orbifolds exist at a given degree by finding monodromy triples: it walks
-    only the genus-0 triples of cycle types, and for each multiset of types
-    it pins the first permutation and builds the second point by point,
+  * a permutation oracle that certifies exactly which genus-0 covers with at
+    most three cone points (those the tables classify) exist at a given
+    degree by finding monodromy triples: it walks only the typesets with
+    n + 2 cycles and at most three branched parts, and for each multiset of
+    types it pins the first permutation and builds the second point by point,
     cutting a branch as soon as the second or the product closes a cycle, or
     grows a path, that the types rule out, and trying one image per class of
     the pinned permutation's centralizer on the cycles the branch has not
@@ -244,8 +245,8 @@ def perms_transitive(perms, n: int) -> bool:
     return len(seen) == n
 
 
-# Hits: 826 of 1,420 calls per verify-tables round (seed 1), 977 of 1,911 over
-# `verify-tables 9` (934 entries, no evictions), 3 of 12 per exceptional-scan
+# Hits: 234 of 274 calls per verify-tables round (seed 1), 234 of 279 over
+# `verify-tables 9` (45 entries, no evictions), 3 of 12 per exceptional-scan
 # round.  An entry (the key's three permutations and three cycle types, the
 # permutations mostly shared with _triple_for_types) takes at most 1.0 KB at
 # degree 12 and 2.5 KB at degree 60: about 1 MB full within ORACLE_BUDGET,
@@ -333,9 +334,9 @@ def _open_paths(n: int, ctype: tuple[int, ...]):
     return list(range(n)), list(range(n)), [1] * n, need, sorted(set(ctype), reverse=True)
 
 
-# A `verify-tables 9` run fills 390 entries; an entry holds three
-# permutations of the degree, about 0.5 KB at degree <= 12, so the full
-# cache stays under 1 MB there.
+# A `verify-tables 9` run fills 50 entries and serves 249 of its 299 calls
+# from them; an entry holds three permutations of the degree, about 0.5 KB
+# at degree <= 12, so the full cache stays under 1 MB there.
 @lru_cache(maxsize=1024)
 def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
     """A transitive triple with product the identity whose cycle types are
@@ -499,20 +500,19 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
 
 
 def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> dict[tuple[int, ...], PermWitness]:
-    """Enumerate all branched-cover types of the base orbifold at degree n.
+    """Enumerate the covers of the base orbifold at degree n that the
+    classification tables classify: exactly the genus-0 covers with at most
+    3 cone points, each keyed by its cone orders, sorted, with a witness.
 
-    Returns a witness per distinct cover, keyed by the cover's cone orders
-    and sorted by them.  Covers by orbifolds with more than 3 cone points are
-    included (callers comparing against the classification tables filter
-    them out).  Only genus-0 covers are reported: a transitive triple has
-    total cycle count n + 2 exactly when the covering surface is S^2.
-
-    The typesets (one divisor partition of n per base point) are walked in
-    product order, visiting only those with n + 2 cycles: the third point's
-    partitions are indexed by length.  Each partition comes with its length
-    and the cover orders above it, read from the cached _partition_table of
-    its (degree, point order), so the walk derives neither per typeset.  A
-    typeset whose cover orders already have a witness is skipped; the rest
+    A transitive triple has total cycle count n + 2 exactly when the
+    covering surface is S^2, and each branched part (a cycle shorter than
+    its base order) lies under one cone point of the cover.  So the typesets
+    (one divisor partition of n per base point) are walked in product order,
+    visiting only those with n + 2 cycles and at most three branched parts;
+    the third point's partitions are indexed by length.  Each partition
+    comes with its length and cover orders from the cached _partition_table
+    of its (degree, point order), so the walk derives neither per typeset.
+    A typeset whose cover orders already have a witness is skipped; the rest
     go to _witness_for_types, which searches each multiset of types once and
     caches the answer, so a multiset that failed, here or for another base,
     is not searched again.
@@ -522,20 +522,21 @@ def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> d
     if n > budget:
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
-    va, vb, vc = base3
-    rows_b = _partition_table(n, vb)
+    rows_a, rows_b, rows_c = ([row for row in _partition_table(n, v) if len(row[2]) <= 3] for v in base3)
     third: dict[int, list] = {}
-    for tc, length, orders_c in _partition_table(n, vc):
+    for tc, length, orders_c in rows_c:
         third.setdefault(length, []).append((tc, orders_c))
     found: dict[tuple[int, ...], PermWitness] = {}
-    for ta, length_a, orders_a in _partition_table(n, va):
+    for ta, length_a, orders_a in rows_a:
         want = n + 2 - length_a
         for tb, length_b, orders_b in rows_b:
-            rows_c = third.get(want - length_b)
-            if rows_c is None:
-                continue
             orders_ab = orders_a + orders_b
-            for tc, orders_c in rows_c:
+            rows = third.get(want - length_b)
+            if rows is None or len(orders_ab) > 3:
+                continue
+            for tc, orders_c in rows:
+                if len(orders_ab) + len(orders_c) > 3:
+                    continue
                 orders = tuple(sorted(orders_ab + orders_c))
                 if orders in found:
                     continue
@@ -777,11 +778,12 @@ def summary_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
 def oracle_covers(
     base: Orbifold2, n: int, budget: int = ORACLE_BUDGET
 ) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], PermWitness]]:
-    """Covers found by the permutation oracle at degree n: the set of covers
-    with <= 3 cone points (comparable with the tables) plus the full witness
-    map (which may also contain covers with more cone points)."""
+    """The permutation oracle's covers at degree n, the genus-0 covers with
+    <= 3 cone points: their set, comparable with table_covers, and their
+    witnesses.  verify_pair calls this module global, so a caller may swap
+    it to record the witnesses that verify_pair does not return."""
     witnesses = perm_cover_oracle(base, n, budget)
-    return {orders for orders in witnesses if len(orders) <= 3}, witnesses
+    return set(witnesses), witnesses
 
 
 @dataclass(frozen=True)
@@ -793,7 +795,6 @@ class PairReport:
     oracle_only: tuple
     table_only: tuple
     documented: tuple
-    extra_multicone: tuple
 
     @property
     def clean(self) -> bool:
@@ -801,7 +802,9 @@ class PairReport:
 
 
 def verify_pair(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> PairReport:
-    oracle_set, witnesses = oracle_covers(base, n, budget)
+    """The oracle's covers of base at degree n (exactly the genus-0 covers
+    with <= 3 cone points) against the tables' covers at n."""
+    oracle_set, _ = oracle_covers(base, n, budget)
     table_set = table_covers(base, n)
     return PairReport(
         base=base.cone_orders,
@@ -809,5 +812,4 @@ def verify_pair(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> PairRep
         oracle_only=tuple(sorted(oracle_set - table_set)),
         table_only=tuple(sorted(table_set - oracle_set)),
         documented=tuple(sorted(c for c in table_set if (c, base.cone_orders, n) in _SUMMARY_OMITS)),
-        extra_multicone=tuple(sorted(o for o in witnesses if len(o) > 3)),
     )

@@ -144,12 +144,11 @@ def test_orb_covers_rows(capsys):
     rows = [line.split("\t") for line in out.splitlines()]
     assert ["(3,3)", "4", "both"] in rows
     assert ["(2,2,2)", "3", "both"] in rows
-    # the source column merges the oracle's covers, those with more than
-    # three cone points included, with the table's
+    # the source column merges the oracle's covers with the table's; both
+    # list only covers with at most three cone points
     code, out, _ = run(capsys, "orb-covers", "--base", "2,4,5", "--max-degree", 6)
     assert code == 0
-    assert out == ("(2,4,5)\t1\tboth\n(2,5,5)\t2\tboth\n(2,2,2,4)\t5\toracle\n"
-                   "(2,2,2,5)\t6\toracle\n(4,4,5)\t6\tboth\n")
+    assert out == "(2,4,5)\t1\tboth\n(2,5,5)\t2\tboth\n(4,4,5)\t6\tboth\n"
 
 
 def test_orb_covers_budget_exceeded(capsys):
