@@ -26,10 +26,6 @@ class LensRegimeError(ValueError):
     """Raised when an operation needs >= 3 exceptional fibers but got fewer."""
 
 
-def _modinv(a: int, m: int) -> int:
-    return pow(a, -1, m)
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -174,7 +170,7 @@ class LensSpace:
             q %= p
             if gcd(p, q) != 1:
                 raise ValueError(f"L({p},{q}) requires gcd(p,q) = 1")
-            qinv = _modinv(q, p)
+            qinv = pow(q, -1, p)
             q = min(q, (-q) % p, qinv, (-qinv) % p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -292,8 +288,9 @@ def _lens_from_filling_slopes(m0: tuple[int, int], m1: tuple[int, int]) -> LensS
     a0, b0 = m0
     a1, b1 = m1
     # complete m0 to a basis (m0, ell) with intersection m0 . ell = 1
-    g, u, v = _xgcd(a0, b0)
-    assert g == 1, "filling slope must be primitive"
+    assert gcd(a0, b0) == 1, "filling slope must be primitive"
+    u = pow(a0, -1, abs(b0)) if b0 else a0
+    v = (1 - a0 * u) // b0 if b0 else 0
     ell = (-v, u)  # det [[a0, b0], [-v, u]] = a0*u + b0*v = 1
     # m1 = q*m0 + t*ell; t = m0 . m1 up to sign, |t| = |H_1|
     x, y = ell
@@ -302,20 +299,6 @@ def _lens_from_filling_slopes(m0: tuple[int, int], m1: tuple[int, int]) -> LensS
     if t == 0:
         return LensSpace(0, 1)
     return LensSpace(abs(t), q if t > 0 else -q)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def sfs_to_lens(M: SeifertInvariants) -> LensSpace:

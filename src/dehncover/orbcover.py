@@ -12,7 +12,9 @@ Four tools live here:
   * a permutation oracle that certifies exactly which genus-0 covers with at
     most three cone points (those the tables classify) exist at a given
     degree by finding monodromy triples: it walks only the typesets with
-    n + 2 cycles and at most three branched parts, and for each multiset of
+    n + 2 cycles and at most three branched parts, read from a bounded table
+    built from each point's multisets of at most three proper divisors
+    (never from every divisor partition of n), and for each multiset of
     types it pins the first permutation and builds the second point by point,
     cutting a branch as soon as the second or the product closes a cycle, or
     grows a path, that the types rule out, and trying one image per class of
@@ -86,26 +88,32 @@ def divisors(v: int) -> list[int]:
     return small + [v // d for d in reversed(small) if d * d != v]
 
 
-@lru_cache(maxsize=None)
-def _partition_table(n: int, v: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-    """Each partition of n into parts dividing v, parts descending, as the
-    row (partition, its number of parts, the cone orders v // k of a cover
-    above its branched parts k < v)."""
-    divs = divisors(v)[::-1]
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append((tuple(acc), len(acc), tuple(v // k for k in acc if k < v)))
-            return
-        for d in divs:
-            if d <= maxpart and d <= remaining:
-                acc.append(d)
-                rec(remaining - d, d, acc)
-                acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+# Hits: 3,890 of 3,972 calls per verify-tables round (seed 1, 82 entries),
+# 4,479 of 4,707 over `--budget 30 verify-tables 30` (228 entries).  An
+# entry holds at most one row per multiset of at most three proper divisors
+# of v; at degrees <= 60 and orders <= 72 it takes 0.75 KB on average and
+# 2 KB at most, so the full cache stays under 2 MB.
+@lru_cache(maxsize=1024)
+def _branched_rows(n: int, v: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
+    """The partitions of n into parts dividing v with at most three branched
+    parts k < v, as rows (partition, parts descending; its number of parts;
+    the cone orders v // k of a cover above its branched parts), in
+    descending order.  Unbranched parts v fill what the branched parts
+    leave, so each multiset of at most three proper divisors k <= n fixes
+    one row, kept when v divides the rest; the other partitions of n, whose
+    number grows without bound in n, are never built."""
+    divs = [k for k in divisors(v)[-2::-1] if k <= n]
+    fills = []  # (unbranched count, branched parts)
+    for size in range(4):
+        for parts in combinations_with_replacement(divs, size):
+            count, rest = divmod(n - sum(parts), v)
+            if count >= 0 and not rest:
+                fills.append((count, parts))
+    # more unbranched parts v first, then the branched parts descending:
+    # the descending order of the partitions
+    fills.sort(reverse=True)
+    return tuple(((v,) * count + parts, count + len(parts), tuple(v // k for k in parts))
+                 for count, parts in fills)
 
 
 @dataclass(frozen=True)
@@ -508,11 +516,12 @@ def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> d
     covering surface is S^2, and each branched part (a cycle shorter than
     its base order) lies under one cone point of the cover.  So the typesets
     (one divisor partition of n per base point) are walked in product order,
-    visiting only those with n + 2 cycles and at most three branched parts;
-    the third point's partitions are indexed by length.  Each partition
-    comes with its length and cover orders from the cached _partition_table
-    of its (degree, point order), so the walk derives neither per typeset.
-    A typeset whose cover orders already have a witness is skipped; the rest
+    visiting only those with n + 2 cycles and at most three branched parts.
+    Each point reads its partitions with at most three branched parts, with
+    their lengths and cover orders, from the bounded _branched_rows table
+    of its (degree, point order), and the third point's partitions are
+    indexed by length.  A
+    typeset whose cover orders already have a witness is skipped; the rest
     go to _witness_for_types, which searches each multiset of types once and
     caches the answer, so a multiset that failed, here or for another base,
     is not searched again.
@@ -522,7 +531,7 @@ def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> d
     if n > budget:
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
-    rows_a, rows_b, rows_c = ([row for row in _partition_table(n, v) if len(row[2]) <= 3] for v in base3)
+    rows_a, rows_b, rows_c = (_branched_rows(n, v) for v in base3)
     third: dict[int, list] = {}
     for tc, length, orders_c in rows_c:
         third.setdefault(length, []).append((tc, orders_c))
@@ -693,7 +702,11 @@ def _is_row(cover: tuple[int, ...], base: tuple[int, ...], n: int, negative: boo
     return cover == base or (_is_neg_row if negative else _is_pos_row)(cover, base, n)
 
 
-@lru_cache(maxsize=None)
+# Hits: 110 of 149 calls per exceptional-scan round (seed 1, 39 entries), 31
+# of 48 per generic-scan round (17 entries), 28 of 32 per verify-tables
+# round (4 entries).  An entry (two order tuples and a DegreeSet, mostly the
+# shared empty one) takes about 0.2 KB: 0.2 MB full.
+@lru_cache(maxsize=1024)
 def _classify_orders(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
     B = Orbifold2(base)
     n = riemann_hurwitz_degree(Orbifold2(cover), B)
@@ -727,7 +740,10 @@ def _cone_divisors(orders: tuple[int, ...]) -> list[int]:
     return sorted({d for v in orders for d in divisors(v) if d > 1})
 
 
-@lru_cache(maxsize=None)
+# Hits: 1,159 of 1,324 calls per verify-tables round (seed 1), one entry
+# per scanned base (165).  An entry (the few table covers of one base) takes
+# about 0.6 KB over the bases with orders <= 9: under 1 MB full.
+@lru_cache(maxsize=1024)
 def _covers_by_degree(base: tuple[int, ...]) -> dict:
     """The covers of S^2(base) with <= 3 cone points that classify_cover
     admits, keyed by degree.  Under the key UNCONSTRAINED, a chi = 0 base

@@ -64,7 +64,6 @@ from .core import (
     SeifertInvariants,
     Slope,
     TorusKnot,
-    _modinv,
     euler_pair,
     lens_covers,
     sfs_equivalent,
@@ -132,7 +131,7 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
     equivalent to M.
     """
     _check_fiberwise_degree(M, d)
-    lifted = tuple((a, (_modinv(d, a) * be) % a) for a, be in M.fibers)
+    lifted = tuple((a, (pow(d, -1, a) * be) % a) for a, be in M.fibers)
     # b~ = -e(M)/d - sum beta~/alpha must come out an integer; with
     # e(M) = -num/den and sum beta~/alpha = s/den over the same den, that is
     # (num - d s) / (d den)

@@ -19,7 +19,6 @@ from .core import (
     SeifertInvariants,
     Slope,
     TorusKnot,
-    _modinv,
     h1_order,
     sfs_equivalent,
     sfs_to_lens,
@@ -90,8 +89,8 @@ def surgery_seifert_invariants(K: TorusKnot, slope: Slope) -> SeifertInvariants:
     if n < 2:
         raise ValueError(f"{p}/{q} surgery on {K} is not a small SFS (n = {n})")
     eps = 1 if r * s * q - p > 0 else -1
-    beta1 = (-eps * _modinv(s, r)) % r
-    beta2 = (-eps * _modinv(r, s)) % s
+    beta1 = (-eps * pow(s, -1, r)) % r
+    beta2 = (-eps * pow(r, -1, s)) % s
     # solve rsn*b + sn*beta1 + rn*beta2 + rs*beta3 = p for integers (b, beta3)
     rest = p - s * n * beta1 - r * n * beta2
     assert rest % (r * s) == 0, "congruence convention failure"

@@ -1,6 +1,7 @@
 import time
 from collections import Counter
 from dataclasses import fields
+from functools import cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
@@ -15,9 +16,9 @@ from dehncover.orbcover import (
     BudgetExceededError,
     PartitionSystem,
     PermWitness,
+    _branched_rows,
     _checked_cycle_types,
     _open_paths,
-    _partition_table,
     _triple_for_types,
     _witness_for_types,
     canonical_perm,
@@ -132,12 +133,49 @@ def test_partition_system_trivial():
     assert systems[0].partitions == systems[0].cycle_types() == ((1,), (1,), (1,))
 
 
+@cache
+def _divisor_partitions(n, v):
+    """Each partition of n into parts dividing v, parts descending, in
+    descending order, as the row (partition, its number of parts, the cone
+    orders v // k of a cover above its branched parts k < v): the full
+    table, built here from scratch so that the references below share no
+    code with the package."""
+    divs = [d for d in range(v, 0, -1) if v % d == 0]
+    out = []
+
+    def rec(remaining, maxpart, acc):
+        if remaining == 0:
+            out.append((tuple(acc), len(acc), tuple(v // k for k in acc if k < v)))
+            return
+        for d in divs:
+            if d <= maxpart and d <= remaining:
+                acc.append(d)
+                rec(remaining - d, d, acc)
+                acc.pop()
+
+    rec(n, n, [])
+    return tuple(out)
+
+
+def test_branched_rows_are_the_rows_of_the_full_table_that_the_oracle_keeps():
+    # every point order v <= 36 and degree n <= 24: the rows with at most
+    # three branched parts, order included
+    start = time.perf_counter()
+    for v in range(1, 37):
+        for n in range(1, 25):
+            want = [row for row in _divisor_partitions(n, v) if len(row[2]) <= 3]
+            assert list(_branched_rows(n, v)) == want, (n, v)
+    assert time.perf_counter() - start < 1
+    # the full table at (60, 60) has 73,155 rows
+    assert len(_branched_rows(60, 60)) == 5
+
+
 def _partition_systems_reference(cover, base, n):
     """Product of every divisor partition at each base point, filtered by
     the branch orders it produces: the full partitions of each system."""
     base3 = base.padded(3)
     systems = []
-    for combo in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
+    for combo in product(*[[row[0] for row in _divisor_partitions(n, v)] for v in base3]):
         branch = sorted(v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1)
         if tuple(branch) == cover.cone_orders:
             systems.append(combo)
@@ -407,7 +445,7 @@ def test_witness_search_matches_reference():
     for base3 in combinations_with_replacement(range(1, 10), 3):
         for n in range(1, 8):
             expected = set()
-            for types in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
+            for types in product(*[[row[0] for row in _divisor_partitions(n, v)] for v in base3]):
                 if sum(len(t) for t in types) != n + 2:
                     continue
                 witness = _witness_for_types(n, base3, types)
@@ -431,11 +469,11 @@ def _perm_cover_oracle_uncapped(base, n):
     base3 = base.padded(3)
     va, vb, vc = base3
     third = {}
-    for tc, length, orders_c in _partition_table(n, vc):
+    for tc, length, orders_c in _divisor_partitions(n, vc):
         third.setdefault(length, []).append((tc, orders_c))
     found = {}
-    for ta, length_a, orders_a in _partition_table(n, va):
-        for tb, length_b, orders_b in _partition_table(n, vb):
+    for ta, length_a, orders_a in _divisor_partitions(n, va):
+        for tb, length_b, orders_b in _divisor_partitions(n, vb):
             for tc, orders_c in third.get(n + 2 - length_a - length_b, ()):
                 orders = tuple(sorted(orders_a + orders_b + orders_c))
                 if orders not in found:
@@ -562,7 +600,7 @@ def test_centralizer_pruning_keeps_every_answer():
     }
     for base3 in combinations_with_replacement(range(1, 10), 3):
         for n in range(1, 11):
-            for types in product(*[[row[0] for row in _partition_table(n, v)] for v in base3]):
+            for types in product(*[[row[0] for row in _divisor_partitions(n, v)] for v in base3]):
                 if sum(map(len, types)) == n + 2:
                     keys.add((n, tuple(sorted(types))))
     found = 0
