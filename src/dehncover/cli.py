@@ -185,13 +185,18 @@ def _parse_base(text: str) -> Orbifold2:
         orders = tuple(int(v) for v in text.split(",") if v.strip())
         if max(orders, default=0) > MAX_CONE_ORDER:
             raise ValueError(f"cone order {max(orders):,} is past the limit of {MAX_CONE_ORDER:,}")
-        base = Orbifold2(orders)
-        count = len(_cone_divisors(base.cone_orders))
-        if count > MAX_BASE_DIVISORS:
-            raise ValueError(f"the cone orders have {count:,} divisors > 1, past the limit of {MAX_BASE_DIVISORS:,}")
-        return base
+        cone = sorted(v for v in orders if v > 1)
+        if len(cone) <= 3:
+            base = Orbifold2(orders)
+            count = len(_cone_divisors(base.cone_orders))
+            if count > MAX_BASE_DIVISORS:
+                raise ValueError(f"the cone orders have {count:,} divisors > 1, past the limit of {MAX_BASE_DIVISORS:,}")
+            return base
     except ValueError as exc:
         raise ValueError(f"bad --base {text!r}: {exc}")
+    # counted before any work per order (divisors, the lcm of chi), in the
+    # words Orbifold2.padded refuses the base with
+    raise ValueError(f"orbifold S2({','.join(map(str, cone))}) has more than 3 cone points")
 
 
 def cmd_orb_covers(args) -> int:

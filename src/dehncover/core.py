@@ -18,7 +18,6 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt, lcm
 
 
@@ -184,6 +183,15 @@ class Orbifold2:
     """A 2-orbifold with underlying surface S^2 and the given cone orders.
 
     Order-1 cone points are removable and dropped; orders are stored sorted.
+
+    chi is the orbifold Euler characteristic 2 - sum (1 - 1/m) over the cone
+    points, as a reduced integer pair (numerator, denominator > 0).  It is
+    computed at construction and stored as a plain instance attribute,
+    outside the dataclass fields, so equality, hashing and repr do not see
+    it.  It is not a functools.cached_property: on CPython 3.11 that
+    descriptor writes instance.__dict__ on first read, which takes the
+    instance off the inline-values layout and leaves every later attribute
+    read on it unspecialised (a cone_orders read went from about 8 to 41 ns).
     """
 
     cone_orders: tuple[int, ...] = ()
@@ -197,20 +205,11 @@ class Orbifold2:
             elif m < 1:
                 raise ValueError(f"cone order {v} < 1")
         orders.sort()
-        object.__setattr__(self, "cone_orders", tuple(orders))
-
-    @cached_property
-    def chi(self) -> tuple[int, int]:
-        """The orbifold Euler characteristic 2 - sum (1 - 1/m) over the cone
-        points, as a reduced integer pair (numerator, denominator > 0).
-
-        Computed on first read and kept on the instance, outside the
-        dataclass fields, so equality, hashing and repr do not see it.
-        """
-        den = lcm(*self.cone_orders)
-        num = (2 - len(self.cone_orders)) * den + sum(den // m for m in self.cone_orders)
+        den = lcm(*orders)
+        num = (2 - len(orders)) * den + sum(den // m for m in orders)
         g = gcd(num, den)
-        return num // g, den // g
+        object.__setattr__(self, "cone_orders", tuple(orders))
+        object.__setattr__(self, "chi", (num // g, den // g))
 
     def padded(self, k: int = 3) -> tuple[int, ...]:
         """Orders padded with 1s up to length k (requires <= k cone points)."""

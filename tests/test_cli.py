@@ -212,6 +212,22 @@ def test_orb_covers_refuses_a_base_with_too_many_divisors(capsys):
     assert (code, out) == (0, "(2,3,1000000000000)\t1\ttable\n(3,3,500000000000)\t2\ttable\n")
 
 
+@pytest.mark.parametrize("source", ["--oracle", "--table", "--both"])
+def test_orb_covers_refuses_four_cone_points_before_any_work_per_order(capsys, source):
+    # 60 orders near 10^12: listing their divisors took 3.4 s before the
+    # refusal; orders 1 are dropped before counting, as Orbifold2 drops them
+    orders = [10**12 - i for i in range(60)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orb-covers", "--base", ",".join(map(str, orders)), "--max-degree", 3, source)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: orbifold S2(%s) has more than 3 cone points\n" % ",".join(map(str, sorted(orders)))
+    code, out, err = run(capsys, "orb-covers", "--base", "7,1,5,3,1,2", "--max-degree", 3, source)
+    assert (code, out, err) == (1, "", "error: orbifold S2(2,3,5,7) has more than 3 cone points\n")
+    code, out, _ = run(capsys, "orb-covers", "--base", "1,5,1,3,2,1", "--max-degree", 1, source)
+    assert (code, out.split("\t")[0]) == (0, "(2,3,5)")
+
+
 def test_verify_tables_usage_error(capsys):
     code, _, err = run(capsys, "verify-tables", 0)
     assert code == 1

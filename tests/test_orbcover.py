@@ -1,6 +1,10 @@
+import copy
+import functools
+import inspect
+import pickle
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -8,6 +12,7 @@ from math import gcd, lcm
 
 import pytest
 
+import dehncover
 from dehncover import cli
 from dehncover.core import Orbifold2, is_loeschian, is_two_square
 from dehncover.orbcover import (
@@ -70,6 +75,31 @@ def test_stored_chi_leaves_equality_hash_and_repr_alone():
     assert orb == fresh and hash(orb) == hash(fresh) == hash(((2, 3, 7),))
     assert repr(orb) == repr(fresh) == "Orbifold2(cone_orders=(2, 3, 7))"
     assert [f.name for f in fields(Orbifold2)] == ["cone_orders"]
+
+
+def test_stored_chi_survives_pickle_copy_and_replace():
+    # chi is a plain instance attribute set at construction, so every way of
+    # getting an Orbifold2 carries the chi a freshly built one has
+    for orders in [(), (5,), (2, 2), (2, 3, 6), (7, 3, 2), (2, 3, 4, 5)]:
+        orb, fresh = S2(orders), S2(tuple(sorted(orders)))
+        want = 2 - sum((1 - Fraction(1, m) for m in orders if m > 1), Fraction(0))
+        assert orb.chi == fresh.chi == want.as_integer_ratio()
+        for other in (pickle.loads(pickle.dumps(orb)), copy.copy(orb), copy.deepcopy(orb), replace(orb)):
+            assert other == orb and other.chi == fresh.chi
+        assert replace(orb, cone_orders=(2, 3, 7)).chi == (-1, 42)
+
+
+def test_no_dehncover_class_has_a_cached_property():
+    # a cached_property writes instance.__dict__ on first read, which on
+    # CPython 3.11 leaves every later attribute read on that instance
+    # unspecialised; chi is stored at construction instead
+    assert "chi" not in vars(Orbifold2)
+    modules = [getattr(dehncover, name) for name in ("core", "surgery", "orbcover", "sfscover", "hyperbolic", "cli")]
+    classes = {cls for mod in modules for _, cls in inspect.getmembers(mod, inspect.isclass)
+               if cls.__module__.startswith("dehncover.")}
+    assert Orbifold2 in classes and len(classes) > 10
+    assert [(cls.__qualname__, name) for cls in classes for name, attr in vars(cls).items()
+            if isinstance(attr, functools.cached_property)] == []
 
 
 def test_riemann_hurwitz():
