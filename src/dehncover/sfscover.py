@@ -35,9 +35,9 @@ orbifold keeps its Euler characteristic as a reduced integer pair
 (Orbifold2.chi, computed at construction and stored as a plain attribute,
 since a descriptor that writes instance.__dict__ on first read would slow
 every later read of the orbifold on CPython 3.11), and the degree test is
-one divmod of those integers, before any table is read.  Every negative decision whose
-detail does not depend on the pair is one shared module-level constant, so
-a pair ruled out early builds no object.  decide_pair decides a -> b and,
+one divmod of those integers, before any table is read.  Every negative
+decision whose detail does not depend on the pair is one shared
+module-level constant, so a pair ruled out early builds no object.  decide_pair decides a -> b and,
 when that does not cover, b -> a, from one classify_surgery lookup per slope
 and with no decision cache; decide_cover and the cover command go through
 it.  Two distinct SFS surgeries with p != 0 pass every check that comes

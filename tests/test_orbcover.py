@@ -1,11 +1,10 @@
 import copy
-import functools
 import inspect
 import pickle
 import time
 from collections import Counter
 from dataclasses import fields, replace
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd, lcm
@@ -99,7 +98,7 @@ def test_no_dehncover_class_has_a_cached_property():
                if cls.__module__.startswith("dehncover.")}
     assert Orbifold2 in classes and len(classes) > 10
     assert [(cls.__qualname__, name) for cls in classes for name, attr in vars(cls).items()
-            if isinstance(attr, functools.cached_property)] == []
+            if isinstance(attr, cached_property)] == []
 
 
 def test_riemann_hurwitz():
