@@ -43,10 +43,13 @@ The audit walks the short slopes as normalised integer pairs (p, q) from
 _short_slopes, which normalises each lattice point as it generates it, and
 builds no Slope for them; enumerate_short_slopes wraps the same walk for
 callers that want Slopes.  Filling and AuditRow are namedtuples, as Slope
-is, and since a Slope hashes and compares as its (p, q), the audit looks a
-walked pair up in a per-call index keyed by the fillings' own Slopes.  A
-record keeps the NormalizedCusp it validated its shape with, and the audit
-reads it from there.  read_census builds each distinct pair of p and q
+is, and the census reader and the audit build them as Slope.__new__ does,
+with tuple.__new__, skipping the namedtuple's Python-level __new__.  Since
+a Slope hashes and compares as its (p, q), the audit looks a walked pair up
+in the record's slope_index, the {slope: position} dict that CuspRecord
+builds in the same pass that rejects a slope listed twice.  A record also
+keeps the NormalizedCusp it validated its shape with, and the audit reads
+it from there.  read_census builds each distinct pair of p and q
 tokens of a file once and shares that Slope among the records listing it:
 a generated 1,000-record census has about 30,500 filling triples and 1,300
 distinct pairs, a 96% hit rate.  The table holds at most one Slope per
@@ -103,6 +106,9 @@ def normalized_cutoff(k: float | None = None) -> float:
         k = vcsc_length_bound()
     _check_length_bound(k)
     return k / math.sqrt(MIN_CUSP_AREA)
+
+
+_AUDIT_CUTOFF = normalized_cutoff()  # 5.5496..., the cutoff audit_knot walks to
 
 
 @dataclass(frozen=True)
@@ -282,13 +288,17 @@ class CuspRecord:
     whose result the record keeps as cusp (outside ==, hash and repr), so a
     degenerate shape is rejected when the record is built, and so is a slope
     listed twice (one of its two volumes would be lost) and a volume on 1/0
-    (that filling is S^3, never hyperbolic)."""
+    (that filling is S^3, never hyperbolic).  The pass over the fillings
+    that finds a repeated slope also builds slope_index, {slope: position
+    in fillings}, which the record keeps for audit_knot, outside ==, hash
+    and repr as cusp is."""
 
     name: str
     cusp_shape: complex
     volume_complement: float
     fillings: tuple[Filling, ...]
     cusp: NormalizedCusp = field(init=False, repr=False, compare=False)
+    slope_index: dict[Slope, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -297,8 +307,8 @@ class CuspRecord:
             raise ValueError(f"{self.name}: {exc}") from None
         if self.volume_complement <= 0:
             raise ValueError(f"{self.name}: complement volume must be positive")
-        seen = set()
-        for slope, volume in self.fillings:
+        index = {}
+        for i, (slope, volume) in enumerate(self.fillings):
             if volume is not None:
                 if slope == (1, 0):
                     raise ValueError(f"{self.name}: slope 1/0 gives S^3, which has no volume")
@@ -307,9 +317,10 @@ class CuspRecord:
                         f"{self.name}: filling {slope} volume {volume} not in "
                         f"(0, {self.volume_complement})"
                     )
-            if slope in seen:
+            if slope in index:
                 raise ValueError(f"{self.name}: slope {slope} is listed twice")
-            seen.add(slope)
+            index[slope] = i
+        object.__setattr__(self, "slope_index", index)
 
 
 class AuditRow(
@@ -354,46 +365,40 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
     concrete volume match against every other filling.  An empty survivor
     list verifies the no-cover conjecture for this record.
 
-    The filling volumes are sorted once; each candidate degree n then
+    A short slope's filling is found in rec.slope_index, built with the
+    record.  The filling volumes are sorted once; each candidate degree n then
     bisects that list for the window around n * vol and tests only the
     fillings inside it.  Survivor rows keep the order of rec.fillings, with
     their degrees ascending.  DegreeLimitError, naming the record and the
     base slope, when a base's degree bound passes MAX_CANDIDATE_DEGREES.
     """
     _check_tolerance(tol)
-    cutoff = normalized_cutoff()
-    fillings = rec.fillings
-    index = {f.slope: i for i, f in enumerate(fillings)}
+    name, fillings, index = rec.name, rec.fillings, rec.slope_index
     by_volume = sorted([f for f in fillings if f.volume is not None], key=_volume)
     volumes = [f.volume for f in by_volume]
     half = rec.volume_complement / 2.0
     too_big = f" > complement/2 = {half:.7f} (tolerance-sensitive)"
     rows = []
-    for _key, p, q in _short_slopes(rec.cusp, cutoff)[1]:
+    for _key, p, q in _short_slopes(rec.cusp, _AUDIT_CUTOFF)[1]:
         if q == 0:
             continue  # the trivial filling 1/0 is not a surgery
         base = f"{p}/{q}"  # str(Slope(p, q))
         i = index.get((p, q))
         if i is None:
-            rows.append(AuditRow(rec.name, "*", base, (), "unmeasured", "no filling data"))
+            rows.append(tuple.__new__(AuditRow, (name, "*", base, (), "unmeasured", "no filling data")))
             continue
         f = fillings[i]
         vol = f.volume
         if vol is None:
-            rows.append(
-                AuditRow(
-                    rec.name, "*", base, (), "exceptional",
-                    "non-hyperbolic filling: deferred to the Seifert/toroidal analysis",
-                )
-            )
+            rows.append(tuple.__new__(AuditRow, (
+                name, "*", base, (), "exceptional",
+                "non-hyperbolic filling: deferred to the Seifert/toroidal analysis",
+            )))
             continue
         if vol > half + tol:
-            rows.append(
-                AuditRow(
-                    rec.name, "*", base, (), "eliminated",
-                    f"volume {vol:.7f}{too_big}",
-                )
-            )
+            rows.append(tuple.__new__(AuditRow, (
+                name, "*", base, (), "eliminated", f"volume {vol:.7f}{too_big}",
+            )))
             continue
         # candidate covered base; a degree-n cover would be a surgery of
         # volume n * vol, still below the complement volume
@@ -405,7 +410,7 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
             try:
                 top = _degree_bound(vol, rec.volume_complement, tol)
             except DegreeLimitError as exc:
-                raise DegreeLimitError(f"{rec.name}: base slope {base}: {exc}") from None
+                raise DegreeLimitError(f"{name}: base slope {base}: {exc}") from None
             degrees = range(2, top + 1)
             if top >= 2 and degree2_h1_obstruction(abs(p)):
                 degrees = range(3, top + 1)
@@ -420,28 +425,21 @@ def audit_knot(rec: CuspRecord, tol: float = 1e-4) -> AuditReport:
                 if g is not f and _volume_match(g.volume, n, vol, tol):
                     matched.setdefault(index[g.slope], []).append(n)
         for j in sorted(matched):
-            rows.append(
-                AuditRow(
-                    rec.name, str(fillings[j].slope), base,
-                    tuple(matched[j]), "survivor",
-                    "volume matches a covering degree; not eliminated",
-                )
-            )
+            rows.append(tuple.__new__(AuditRow, (
+                name, str(fillings[j].slope), base, tuple(matched[j]), "survivor",
+                "volume matches a covering degree; not eliminated",
+            )))
         if degrees:
-            rows.append(
-                AuditRow(
-                    rec.name, "*", base, tuple(degrees), "survivor",
-                    "volume filter leaves candidate degrees; not eliminated",
-                )
-            )
+            rows.append(tuple.__new__(AuditRow, (
+                name, "*", base, tuple(degrees), "survivor",
+                "volume filter leaves candidate degrees; not eliminated",
+            )))
         else:
-            rows.append(
-                AuditRow(
-                    rec.name, "*", base, (), "eliminated",
-                    "; ".join(reasons) if reasons else "no degree passes the volume filter",
-                )
-            )
-    return AuditReport(rec.name, tuple(rows))
+            rows.append(tuple.__new__(AuditRow, (
+                name, "*", base, (), "eliminated",
+                "; ".join(reasons) if reasons else "no degree passes the volume filter",
+            )))
+    return AuditReport(name, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +485,7 @@ def _parse_census_line(line: str, slopes: dict[tuple[str, str], Slope]) -> CuspR
             volume = float(raw)
             if not math.isfinite(volume):
                 raise ValueError(f"{name}: non-finite number {raw!r}")
-        fillings.append(Filling(slope, volume))
+        fillings.append(tuple.__new__(Filling, (slope, volume)))
     return CuspRecord(name, shape, vol, tuple(fillings))
 
 

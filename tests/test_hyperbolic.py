@@ -1,9 +1,11 @@
+import copy
 import decimal
 import hashlib
 import math
 import pickle
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -695,6 +697,56 @@ def test_the_record_keeps_its_normalized_cusp():
     twin = CuspRecord(rec.name, rec.cusp_shape, rec.volume_complement, rec.fillings)
     object.__setattr__(twin, "cusp", normalize_cusp(1j))
     assert twin == rec and hash(twin) == hash(rec)
+
+
+def test_the_record_keeps_its_slope_index_through_pickle_copy_and_replace():
+    # the pass that rejects a slope listed twice builds the {slope: position}
+    # index audit_knot reads, so every way of getting a record carries one
+    rec = parse_census_line("x 0.0 3.46 2.03 5 1 0.98 -3 -1 EXC 0 1 1.2 1 0 EXC")
+    want = {f.slope: i for i, f in enumerate(rec.fillings)}
+    assert rec.slope_index == want and list(want) == [Slope(5, 1), Slope(3, 1), Slope(0, 1), Slope(1, 0)]
+    assert all(s is f.slope for s, f in zip(rec.slope_index, rec.fillings))
+    assert "slope_index" not in repr(rec)
+    twin = CuspRecord(rec.name, rec.cusp_shape, rec.volume_complement, rec.fillings)
+    object.__setattr__(twin, "slope_index", {})
+    assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+    for other in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec), replace(rec)):
+        assert other == rec and other.slope_index == want
+        assert audit_knot(other) == audit_knot(rec)
+    moved = replace(rec, fillings=rec.fillings[::-1])
+    assert moved.slope_index == {f.slope: i for i, f in enumerate(moved.fillings)} != want
+    # a repeated slope is still refused at its first repeat, after the volume
+    # checks of the entries before it and of the repeat itself
+    for line, message in [
+        ("d 0.0 3.46 2.03 5 1 0.98 5 1 1.96 -5 1 1.96 1 0 1.5", "d: slope 5/1 is listed twice"),
+        ("d 0.0 3.46 2.03 5 1 0.98 -5 1 0.5 5 -1 0.7 5 1 0.6", "d: slope -5/1 is listed twice"),
+        ("d 0.0 3.46 2.03 5 1 0.98 1 0 1.5 5 1 1.96", "d: slope 1/0 gives S^3, which has no volume"),
+        ("d 0.0 3.46 2.03 5 1 0.98 5 1 9.0", "d: filling 5/1 volume 9.0 not in (0, 2.03)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_census_line(line)
+        assert str(err.value) == message
+
+
+def test_read_census_and_audit_build_the_values_the_public_constructors_build(census_file):
+    # the reader and the audit build Filling and AuditRow with tuple.__new__;
+    # the last record gives the audit's eight kinds of row
+    with open(census_file, "a") as fh:
+        fh.write("m 0.0 3.4641016151377544 2.0298832128193 4 1 0.5 -5 1 1.0 0 1 0.6 3 1 EXC "
+                 "2 1 0.7 1 1 1.01 -2 1 1.0150216 6 1 1.9\n")
+    records, errors = read_census(census_file)
+    assert errors == [] and len(records) == 4
+    rows = [row for rec in records for row in audit_knot(rec).rows]
+    kinds = {(r.status, r.cover_slope == "*", r.reason[:20]) for r in audit_knot(records[-1]).rows}
+    assert len(kinds) == 8
+    fillings = [f for rec in records for f in rec.fillings]
+    assert any(f.exceptional for f in fillings) and any(not f.exceptional for f in fillings)
+    built = [Filling(f.slope, f.volume) for f in fillings] + [AuditRow(*r) for r in rows]
+    for value, public in zip(fillings + rows, built):
+        assert type(value) is type(public) and value._asdict() == public._asdict()
+        assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == public and hash(back) == hash(public)
 
 
 def test_filling_and_audit_row_value_types():
