@@ -2,6 +2,10 @@
 dehncover: covering relations between Dehn surgeries on torus knots via
 exact arithmetic on Seifert invariants and 2-orbifold covers, plus audits
 of ingested hyperbolic cusp/volume data.
+
+The audit, dehncover.hyperbolic and the names in _HYPERBOLIC_NAMES read from
+this package, loads on first use through the module __getattr__ (PEP 562),
+so `import dehncover` imports neither it nor fractions.
 """
 
 from .core import (
@@ -50,18 +54,19 @@ from .sfscover import (
     pullback,
     torus_main_fastpath,
 )
-from .hyperbolic import (
-    CuspRecord,
-    Filling,
-    NormalizedCusp,
-    audit_knot,
-    degree2_h1_obstruction,
-    enumerate_short_slopes,
-    normalize_cusp,
-    normalized_cutoff,
-    read_census,
-    short_slope_box,
-    vcsc_length_bound,
-)
+
+_HYPERBOLIC_NAMES = frozenset((
+    "CuspRecord", "Filling", "NormalizedCusp", "audit_knot", "degree2_h1_obstruction", "enumerate_short_slopes",
+    "normalize_cusp", "normalized_cutoff", "read_census", "short_slope_box", "vcsc_length_bound"))
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "hyperbolic" or name in _HYPERBOLIC_NAMES:
+        import importlib
+
+        # also binds dehncover.hyperbolic, so later reads of it skip this hook
+        hyperbolic = importlib.import_module(".hyperbolic", __name__)
+        return hyperbolic if name == "hyperbolic" else getattr(hyperbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

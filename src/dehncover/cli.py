@@ -4,7 +4,8 @@ Command-line front door.
 Subcommands: classify, invariants, cover, orb-covers, verify-tables,
 realize, short-slopes, audit.  Exit codes: 0 success/verified, 1 invalid
 input, 2 all records failed, 3 enumeration budget exceeded, 141 output
-closed early by its reader.
+closed early by its reader.  The hyperbolic audit is imported by the two
+commands that read a census, so the others do not load it.
 """
 from __future__ import annotations
 
@@ -19,18 +20,11 @@ from .core import (
     Orbifold2,
     Slope,
     TorusKnot,
+    _check_tolerance,
     euler_number,
     h1_order,
     parse_lens,
     parse_seifert,
-)
-from .hyperbolic import (
-    DegreeLimitError,
-    _check_tolerance,
-    audit_knot,
-    enumerate_short_slopes,
-    normalized_cutoff,
-    read_census,
 )
 from .surgery import LENS, SFS, classify_surgery, find_surgery_slopes
 from .orbcover import (
@@ -57,7 +51,7 @@ class Config:
     def __post_init__(self):
         if self.oracle_degree_budget < 1:
             raise ValueError("--budget must be >= 1")
-        _check_tolerance(self.volume_tolerance)  # the audit's own rule: finite and >= 0
+        _check_tolerance(self.volume_tolerance)  # the audit's own rule, for every command
         if self.output_format not in ("text", "tsv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -302,6 +296,8 @@ def cmd_realize(args) -> int:
 
 def _read_records(path: str) -> list:
     """The valid census records at path; warns per bad line, errors if none."""
+    from .hyperbolic import read_census
+
     records, errors = read_census(path)
     for err in errors:
         print(f"warning: {err}", file=sys.stderr)
@@ -311,6 +307,8 @@ def _read_records(path: str) -> list:
 
 
 def cmd_short_slopes(args) -> int:
+    from .hyperbolic import enumerate_short_slopes, normalized_cutoff
+
     records = _read_records(args.census)
     if not records:
         return 2
@@ -331,6 +329,8 @@ def cmd_short_slopes(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .hyperbolic import DegreeLimitError, audit_knot
+
     records = _read_records(args.census)
     if not records:
         return 2

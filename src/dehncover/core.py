@@ -10,19 +10,27 @@ Slope and TorusKnot are tuple subclasses (namedtuples), because every slope
 scan keys its caches on them: hashing and equality then run in C.  The Euler
 number is kept in integers as well: euler_pair gives (num, den) with
 e = -num/den and den the product of the fiber orders, and h1_order,
-euler_number and the fiberwise lift all read that one formula.
+euler_number and the fiberwise lift all read that one formula; only
+euler_number builds a Fraction, and it imports fractions when called.  The
+one float rule here is _check_tolerance (finite and >= 0): the audit's volume
+tolerance, kept here so that the CLI checks --tolerance for every command
+without importing hyperbolic.
 """
 from __future__ import annotations
 
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 
 class LensRegimeError(ValueError):
     """Raised when an operation needs >= 3 exceptional fibers but got fewer."""
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +261,8 @@ def euler_pair(b: int, fibers: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 
 def euler_number(M: SeifertInvariants) -> Fraction:
     """e(M) = -(b + sum beta_i/alpha_i), exact."""
+    from fractions import Fraction
+
     num, den = euler_pair(M.b, M.fibers)
     return Fraction(-num, den)
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 from operator import attrgetter
 
-from .core import Slope
+from .core import Slope, _check_tolerance
 
 MIN_CUSP_AREA = 2.0 * math.sqrt(3.0)
 # A base filling of volume v has the candidate degrees n with n v below the
@@ -85,11 +85,6 @@ class DegreeLimitError(ValueError):
 def _check_length_bound(k: float) -> None:
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"length bound must be finite and positive, got {k}")
-
-
-def _check_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
 def vcsc_length_bound() -> float:
@@ -479,10 +474,13 @@ def _parse_census_line(line: str, slopes: dict[tuple[str, str], Slope]) -> CuspR
         slope = slopes.get((p, q))
         if slope is None:
             slope = slopes[p, q] = Slope(int(p), int(q))  # raises before storing an unreduced pair
-        if raw.upper() == "EXC":
+        try:
+            volume = float(raw)
+        except ValueError:  # read only after a token is not a number
+            if raw.upper() != "EXC":
+                raise
             volume = None
         else:
-            volume = float(raw)
             if not math.isfinite(volume):
                 raise ValueError(f"{name}: non-finite number {raw!r}")
         fillings.append(tuple.__new__(Filling, (slope, volume)))

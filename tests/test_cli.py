@@ -394,6 +394,41 @@ def _cli_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+_LAZY_IMPORT_PROBE = """
+import sys
+import dehncover, dehncover.cli
+loaded = [m for m in ("dehncover.hyperbolic", "fractions", "decimal") if m in sys.modules]
+assert loaded == [], loaded
+dehncover.cli.main(["cover", "2", "3", "5", "1", "1", "1"])
+assert "dehncover.hyperbolic" not in sys.modules
+names = ("CuspRecord", "Filling", "NormalizedCusp", "audit_knot", "degree2_h1_obstruction",
+         "enumerate_short_slopes", "normalize_cusp", "normalized_cutoff", "read_census",
+         "short_slope_box", "vcsc_length_bound")
+from dehncover import read_census
+import dehncover.hyperbolic as hyperbolic
+assert dehncover.hyperbolic is hyperbolic and read_census is hyperbolic.read_census
+assert all(getattr(dehncover, name) is vars(hyperbolic)[name] for name in names)
+try:
+    dehncover.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'dehncover' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("no AttributeError")
+print("ok")
+"""
+
+
+def test_import_and_cover_load_neither_the_audit_nor_fractions():
+    # a fresh interpreter: this one has imported the audit already
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["COVERS degree 24 (fiberwise 2 × orbifold 12)", "  cover: 5/1",
+                                        "  base: 1/1", "  intermediate: {0;(5,1),(5,1)}",
+                                        "  partitions: base S2(2,3,5) degree 12: [2×6 | 3×4 | 5×2+1+1]",
+                                        "ok"]
+
+
 def test_closed_pipe_ends_quietly(tmp_path, census_records):
     from conftest import census_text
 

@@ -682,6 +682,27 @@ def test_parse_census_line():
     assert parse_census_line("exc 0.0 3.46 2.03 1 0 EXC").fillings[0].exceptional
 
 
+@pytest.mark.parametrize("token, volume, message", [
+    ("0.98", 0.98, None), ("9.8e-1", 0.98, None),
+    ("EXC", None, None), ("exc", None, None), ("eXc", None, None),
+    ("nan", None, "x: non-finite number 'nan'"), ("-Infinity", None, "x: non-finite number '-Infinity'"),
+    ("EXCX", None, "could not convert string to float: 'EXCX'"),
+    ("1.0.0", None, "could not convert string to float: '1.0.0'"),
+])
+def test_a_filling_volume_token_is_a_number_or_exc(token, volume, message):
+    # float() is tried first and EXC, in any case, only after it fails; the
+    # accepted tokens and the refusal messages are the ones of the test for
+    # EXC first.  On 1/0 only EXC loads, and a number is refused as S^3's.
+    for p, q in ((5, 1), (1, 0)):
+        line = f"x 0.0 3.46 2.03 {p} {q} {token}"
+        if message is None and (volume is None or q):
+            assert parse_census_line(line).fillings == (Filling(Slope(p, q), volume),)
+        else:
+            with pytest.raises(ValueError) as info:
+                parse_census_line(line)
+            assert str(info.value) == (message or "x: slope 1/0 gives S^3, which has no volume")
+
+
 def test_a_skewed_census_line_loads_and_audits():
     # refused as too skewed for float lengths while the walk was in floats
     rec = parse_census_line("y 0.3 1e-300 2.0 5 1 0.9")
