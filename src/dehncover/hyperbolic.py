@@ -474,13 +474,10 @@ def _parse_census_line(line: str, slopes: dict[tuple[str, str], Slope]) -> CuspR
         slope = slopes.get((p, q))
         if slope is None:
             slope = slopes[p, q] = Slope(int(p), int(q))  # raises before storing an unreduced pair
-        try:
-            volume = float(raw)
-        except ValueError:  # read only after a token is not a number
-            if raw.upper() != "EXC":
-                raise
+        if len(raw) == 3 and raw.upper() == "EXC":  # a longer number skips upper()
             volume = None
         else:
+            volume = float(raw)
             if not math.isfinite(volume):
                 raise ValueError(f"{name}: non-finite number {raw!r}")
         fillings.append(tuple.__new__(Filling, (slope, volume)))

@@ -683,16 +683,16 @@ def test_parse_census_line():
 
 
 @pytest.mark.parametrize("token, volume, message", [
-    ("0.98", 0.98, None), ("9.8e-1", 0.98, None),
+    ("0.98", 0.98, None), ("9.8e-1", 0.98, None), ("0.5", 0.5, None),
     ("EXC", None, None), ("exc", None, None), ("eXc", None, None),
     ("nan", None, "x: non-finite number 'nan'"), ("-Infinity", None, "x: non-finite number '-Infinity'"),
     ("EXCX", None, "could not convert string to float: 'EXCX'"),
     ("1.0.0", None, "could not convert string to float: '1.0.0'"),
 ])
 def test_a_filling_volume_token_is_a_number_or_exc(token, volume, message):
-    # float() is tried first and EXC, in any case, only after it fails; the
-    # accepted tokens and the refusal messages are the ones of the test for
-    # EXC first.  On 1/0 only EXC loads, and a number is refused as S^3's.
+    # EXC is tested for only on 3-character tokens, where it used to be
+    # tested on every token: the same tokens load and the same messages
+    # refuse the rest.  On 1/0 only EXC loads; a number is refused as S^3's.
     for p, q in ((5, 1), (1, 0)):
         line = f"x 0.0 3.46 2.03 {p} {q} {token}"
         if message is None and (volume is None or q):
