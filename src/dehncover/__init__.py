@@ -3,9 +3,12 @@ dehncover: covering relations between Dehn surgeries on torus knots via
 exact arithmetic on Seifert invariants and 2-orbifold covers, plus audits
 of ingested hyperbolic cusp/volume data.
 
-The audit, dehncover.hyperbolic and the names in _HYPERBOLIC_NAMES read from
-this package, loads on first use through the module __getattr__ (PEP 562),
-so `import dehncover` imports neither it nor fractions.
+The hyperbolic audit loads on first use, through the module __getattr__
+(PEP 562): reading dehncover.hyperbolic, or one of its names re-exported here
+(CuspRecord, Filling, NormalizedCusp, audit_knot, degree2_h1_obstruction,
+enumerate_short_slopes, normalize_cusp, normalized_cutoff, read_census,
+short_slope_box, vcsc_length_bound), imports it.  So `import dehncover`
+imports neither the audit nor fractions.
 """
 
 from .core import (
