@@ -259,8 +259,11 @@ def euler_pair(b: int, fibers: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     return num, den
 
 
-def euler_number(M: SeifertInvariants) -> Fraction:
-    """e(M) = -(b + sum beta_i/alpha_i), exact."""
+def euler_number(M: SeifertInvariants):
+    """e(M) = -(b + sum beta_i/alpha_i), exact, as a fractions.Fraction.
+    The return type is named here, not annotated: fractions is imported
+    only on this call, so an annotation naming Fraction would not resolve
+    under typing.get_type_hints."""
     from fractions import Fraction
 
     num, den = euler_pair(M.b, M.fibers)

@@ -31,9 +31,12 @@ Four tools live here:
 
 The tables are encoded once, in classify_cover, which the decision procedure
 uses; the inverted views table_covers and summary_covers (every cover of one
-base at one degree) are read off it.  The oracle shares no code with the
-tables, so verify_pair and the verify-tables CLI command check the encoding
-the decisions use against an independent search.
+base at one degree) are read off it.  The inversion walks the multisets of
+at most three cone divisors of a base once, as nested loops keeping a
+running chi sum, and caches each degree's covers as a frozenset, which
+table_covers returns as it is over a chi != 0 base.  The oracle shares no
+code with the tables, so verify_pair and the verify-tables CLI command check
+the encoding the decisions use against an independent search.
 """
 from __future__ import annotations
 
@@ -531,7 +534,9 @@ def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> d
     if n > budget:
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
-    rows_a, rows_b, rows_c = (_branched_rows(n, v) for v in base3)
+    rows_a = _branched_rows(n, base3[0])
+    rows_b = _branched_rows(n, base3[1])
+    rows_c = _branched_rows(n, base3[2])
     third: dict[int, list] = {}
     for tc, length, orders_c in rows_c:
         third.setdefault(length, []).append((tc, orders_c))
@@ -740,55 +745,78 @@ def _cone_divisors(orders: tuple[int, ...]) -> list[int]:
     return sorted({d for v in orders for d in divisors(v) if d > 1})
 
 
-# Hits: 1,159 of 1,324 calls per verify-tables round (seed 1), one entry
-# per scanned base (165).  An entry (the few table covers of one base) takes
-# about 0.6 KB over the bases with orders <= 9: under 1 MB full.
+# Hits: 1,159 of 1,324 calls per verify-tables round (seed 1), 1,410 of
+# 1,575 over `--budget 30 verify-tables 30`, one entry per scanned base
+# (165).  An entry (a dict of the frozensets of table covers of one base)
+# takes 0.76 KB on average and 3.1 KB at most over the bases with orders
+# <= 9, 0.13 MB for the 165; on a grid of bases with orders <= 72 it took
+# 5.5 KB at most, so the full cache stays under 6 MB.
 @lru_cache(maxsize=1024)
-def _covers_by_degree(base: tuple[int, ...]) -> dict:
+def _covers_by_degree(base: tuple[int, ...]) -> dict[int | str, frozenset[tuple[int, ...]]]:
     """The covers of S^2(base) with <= 3 cone points that classify_cover
-    admits, keyed by degree.  Under the key UNCONSTRAINED, a chi = 0 base
-    keeps its chi = 0 candidates, whose degrees chi does not fix.
+    admits, keyed by degree, each degree's covers a frozenset.  A chi = 0
+    base keeps its chi = 0 candidates, whose degrees chi does not fix,
+    under the one key UNCONSTRAINED.
 
     Each cone order of a cover divides a base cone order, and a cover of
     degree n has chi(C) = n * chi(B), so the candidates are the multisets of
     at most 3 divisors of the base orders, each tried at its one degree by
     _is_row.  chi is scaled by the lcm of the base orders to stay an integer.
+    The multisets are walked as three nested loops over 1 and the divisors,
+    ascending, an order 1 standing for no cone point, and each loop takes
+    its order's drop off a running chi sum, so a candidate costs one
+    subtraction and one remainder, and only the few that pass build a tuple.
     """
     if len(base) > 3:
         raise ValueError("classification applies to orbifolds with <= 3 cone points")
     scale = lcm(*base)
-    divs = _cone_divisors(base)
-    drop = {d: scale - scale // d for d in divs}  # what a cone point of order d takes off chi
-    cb = 2 * scale - sum(map(drop.__getitem__, base))
+    orders = [1, *_cone_divisors(base)]
+    drops = [scale - scale // d for d in orders]  # what a cone point of order d takes off chi
+    cb = 2 * scale - sum(scale - scale // v for v in base)
+    negative = cb < 0
+    m = len(orders)
     out: dict = {}
-    for k in range(4):
-        for cover in combinations_with_replacement(divs, k):
-            cc = 2 * scale - sum(map(drop.__getitem__, cover))
-            if cb:
-                n, rem = divmod(cc, cb)
-                if rem or n < 1 or not _is_row(cover, base, n, cb < 0):
+    for i in range(m):
+        ci = 2 * scale - drops[i]
+        for j in range(i, m):
+            cj = ci - drops[j]
+            for k in range(j, m):
+                cc = cj - drops[k]
+                if cb:
+                    if cc % cb:
+                        continue
+                    n = cc // cb
+                    if n < 1:
+                        continue
+                elif cc:
                     continue
-            elif cc:
-                continue
-            else:
-                n = UNCONSTRAINED
-            out.setdefault(n, set()).add(cover)
-    return out
+                else:
+                    n = UNCONSTRAINED
+                cover = tuple(w for w in (orders[i], orders[j], orders[k]) if w > 1)
+                if n is UNCONSTRAINED or _is_row(cover, base, n, negative):
+                    out.setdefault(n, set()).add(cover)
+    return {n: frozenset(covers) for n, covers in out.items()}
 
 
-def table_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
+def table_covers(base: Orbifold2, n: int) -> frozenset[tuple[int, ...]]:
     """Cover orbifolds (as reduced order tuples) admitted at degree n by the
-    classification tables, i.e. the C with n in classify_cover(C, base)."""
+    classification tables, i.e. the C with n in classify_cover(C, base).
+
+    Over a chi != 0 base this is the frozenset that _covers_by_degree keeps
+    for n, returned as it is, with no copy; over a chi = 0 base, a frozenset
+    of the UNCONSTRAINED candidates whose quadratic form takes the value n.
+    """
     rows = _covers_by_degree(base.cone_orders)
-    return set(rows.get(n, ())) | {
-        c for c in rows.get(UNCONSTRAINED, ()) if n in _classify_orders(c, base.cone_orders)
-    }
+    if base.chi[0]:
+        return rows.get(n, frozenset())
+    return frozenset(c for c in rows.get(UNCONSTRAINED, ()) if n in _classify_orders(c, base.cone_orders))
 
 
-def summary_covers(base: Orbifold2, n: int) -> set[tuple[int, ...]]:
-    """Same, restricted to the abbreviated summary variant of the table; the
-    difference against table_covers is the documented-discrepancy set."""
-    return {c for c in table_covers(base, n) if (c, base.cone_orders, n) not in _SUMMARY_OMITS}
+def summary_covers(base: Orbifold2, n: int) -> frozenset[tuple[int, ...]]:
+    """Same, restricted to the abbreviated summary variant of the table, as
+    a new frozenset; the difference against table_covers is the
+    documented-discrepancy set."""
+    return frozenset(c for c in table_covers(base, n) if (c, base.cone_orders, n) not in _SUMMARY_OMITS)
 
 
 def oracle_covers(
@@ -819,13 +847,18 @@ class PairReport:
 
 def verify_pair(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> PairReport:
     """The oracle's covers of base at degree n (exactly the genus-0 covers
-    with <= 3 cone points) against the tables' covers at n."""
+    with <= 3 cone points) against the tables' covers at n.  A pair whose
+    two sets agree, as every pair of a passing verify-tables run does, builds
+    no set difference; only a nonempty table set is read for the rows the
+    summary variant omits."""
     oracle_set, _ = oracle_covers(base, n, budget)
     table_set = table_covers(base, n)
-    return PairReport(
-        base=base.cone_orders,
-        degree=n,
-        oracle_only=tuple(sorted(oracle_set - table_set)),
-        table_only=tuple(sorted(table_set - oracle_set)),
-        documented=tuple(sorted(c for c in table_set if (c, base.cone_orders, n) in _SUMMARY_OMITS)),
-    )
+    orders = base.cone_orders
+    oracle_only = table_only = documented = ()
+    if oracle_set != table_set:
+        oracle_only = tuple(sorted(oracle_set - table_set))
+        table_only = tuple(sorted(table_set - oracle_set))
+    if table_set:
+        documented = tuple(sorted(c for c in table_set if (c, orders, n) in _SUMMARY_OMITS))
+    return PairReport(base=orders, degree=n, oracle_only=oracle_only, table_only=table_only,
+                      documented=documented)

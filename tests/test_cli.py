@@ -429,6 +429,25 @@ def test_import_and_cover_load_neither_the_audit_nor_fractions():
                                         "ok"]
 
 
+
+def test_every_annotation_of_the_six_modules_resolves():
+    # an annotation naming what a module imports only inside a function
+    # (fractions in core) raises NameError under get_type_hints
+    import importlib
+    import inspect
+    import typing
+
+    checked = 0
+    for name in ("core", "surgery", "orbcover", "sfscover", "hyperbolic", "cli"):
+        module = importlib.import_module(f"dehncover.{name}")
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) or callable(obj):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked > 100
+
 def test_closed_pipe_ends_quietly(tmp_path, census_records):
     from conftest import census_text
 

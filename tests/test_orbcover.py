@@ -22,6 +22,8 @@ from dehncover.orbcover import (
     PermWitness,
     _branched_rows,
     _checked_cycle_types,
+    _covers_by_degree,
+    _is_row,
     _open_paths,
     _triple_for_types,
     _witness_for_types,
@@ -713,6 +715,40 @@ def test_table_covers_match_classify_cover_brute_force(classified_rows):
         for n in range(1, 61):
             assert table_covers(B, n) == want.get((B, n), set()), (B, n)
 
+
+
+def _reference_covers_by_degree(base):
+    """The table inversion walked the plain way: every multiset of at most
+    three cone divisors, its degree from riemann_hurwitz_degree, kept by
+    _is_row (a chi = 0 pair at every degree)."""
+    B = S2(base)
+    divs = sorted({d for v in base for d in range(2, v + 1) if v % d == 0})
+    out = {}
+    for k in range(4):
+        for cover in combinations_with_replacement(divs, k):
+            n = riemann_hurwitz_degree(S2(cover), B)
+            if n is UNCONSTRAINED or n is not None and _is_row(cover, base, n, B.chi[0] < 0):
+                out.setdefault(n, set()).add(cover)
+    return out
+
+
+def test_covers_by_degree_equals_the_reference_walk():
+    # every base with orders <= 20 (fewer than three cone points among
+    # them), the three chi = 0 bases named as well
+    bases = {S2(o).cone_orders for o in combinations_with_replacement(range(1, 21), 3)}
+    bases |= {(2, 3, 6), (2, 4, 4), (3, 3, 3)}
+    for base in sorted(bases):
+        got = _covers_by_degree(base)
+        assert got == _reference_covers_by_degree(base), base
+        assert all(type(covers) is frozenset for covers in got.values()), base
+    # table_covers hands out frozensets, the stored one itself over a
+    # chi != 0 base, so no caller can change the cached rows
+    assert table_covers(S2((2, 3, 7)), 8) is _covers_by_degree((2, 3, 7))[8]
+    for base, n in (((2, 3, 7), 8), ((2, 3, 7), 7), ((2, 3, 6), 7), ((2, 3, 6), 14), ((2, 4, 4), 3)):
+        assert type(table_covers(S2(base), n)) is frozenset, (base, n)
+        assert type(summary_covers(S2(base), n)) is frozenset, (base, n)
+    assert table_covers(S2((2, 3, 6)), 7) == {(2, 3, 6)}
+    assert table_covers(S2((2, 3, 6)), 14) == {(3, 3, 3)}
 
 def test_classify_cover_rows_obey_riemann_hurwitz_and_divisibility(classified_rows):
     # table_covers lists its candidates from both facts
