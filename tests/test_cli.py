@@ -434,16 +434,13 @@ def test_every_annotation_of_the_six_modules_resolves():
     # an annotation naming what a module imports only inside a function
     # (fractions in core) raises NameError under get_type_hints
     import importlib
-    import inspect
     import typing
 
     checked = 0
     for name in ("core", "surgery", "orbcover", "sfscover", "hyperbolic", "cli"):
         module = importlib.import_module(f"dehncover.{name}")
-        for attr, obj in vars(module).items():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isclass(obj) or callable(obj):
+        for obj in vars(module).values():
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
                 typing.get_type_hints(obj)
                 checked += 1
     assert checked > 100
