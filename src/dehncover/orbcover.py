@@ -4,17 +4,19 @@ Covers of 2-orbifolds S^2(a,b,c) -> S^2(a',b',c').
 Four tools live here:
 
   * the orbifold Euler characteristic / Riemann-Hurwitz degree computation,
-  * the combinatorial partition condition (necessary for a cover): the
-    partition systems of a cover are built by placing each of its cone orders
-    at a base point whose order it divides (at most 27 placements and three
-    stored branched parts, whatever the degree), listed in descending order
-    of their full partitions, each keeping its counts of unbranched parts,
+  * the combinatorial partition condition (necessary for a cover): one
+    bounded table, _branched_rows, keyed by (degree, point order), holds the
+    ways to fill a base point with at most three branched parts, each row
+    its branched parts, the cover orders above them and its count of
+    unbranched parts, so nothing in it grows with the degree; the partition
+    systems of a cover are the joins of one row per base point whose cover
+    orders are the cover's, listed in descending order of their full
+    partitions, each keeping its counts of unbranched parts,
   * a permutation oracle that certifies exactly which genus-0 covers with at
     most three cone points (those the tables classify) exist at a given
     degree by finding monodromy triples: it walks only the typesets with
-    n + 2 cycles and at most three branched parts, read from a bounded table
-    built from each point's multisets of at most three proper divisors
-    (never from every divisor partition of n), and for each multiset of
+    n + 2 cycles and at most three branched parts, read from the same row
+    table (never from every divisor partition of n), and for each multiset of
     types it pins the first permutation and builds the second point by point,
     cutting a branch as soon as the second or the product closes a cycle, or
     grows a path, that the types rule out, and trying one image per class of
@@ -36,17 +38,18 @@ at most three cone divisors of a base once, as nested loops keeping a
 running chi sum, and caches each degree's covers as a frozenset, which
 table_covers returns as it is over a chi != 0 base.  The oracle shares no
 code with the tables, so verify_pair and the verify-tables CLI command check
-the encoding the decisions use against an independent search.
+the encoding the decisions use against an independent search.  It shares the
+row table with partition_systems, so the multisets of at most three proper
+divisors of a point's order are walked in one place, and the divisors of
+each order are read once per process, from the bounded cache on divisors.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 from math import factorial, isqrt, lcm
 
-from .core import Orbifold2, is_loeschian, is_two_square
+from .core import Orbifold2, is_loeschian, is_two_square, shared_orbifold
 
 
 class BudgetExceededError(RuntimeError):
@@ -85,38 +88,63 @@ def riemann_hurwitz_degree(cover: Orbifold2, base: Orbifold2):
 # Partition condition
 
 
-def divisors(v: int) -> list[int]:
+# Hits: 513 of 522 calls per verify-tables round (seed 1, 9 entries), 91 of
+# 95 per exceptional-scan round (4 entries).  An entry holds the divisors of
+# one order: at most 12 (0.5 KB) for orders <= 72, so the full cache stays
+# under 0.2 MB there.  The longest list of an order orb-covers accepts,
+# the 6,720 divisors of 963761198400, takes 0.24 MB, and one command reads
+# at most three orders.
+@lru_cache(maxsize=256)
+def divisors(v: int) -> tuple[int, ...]:
     """The divisors of v >= 1, ascending, from the d <= sqrt(v) and v // d."""
     small = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
-    return small + [v // d for d in reversed(small) if d * d != v]
+    return tuple(small + [v // d for d in reversed(small) if d * d != v])
 
 
 # Hits: 3,890 of 3,972 calls per verify-tables round (seed 1, 82 entries),
-# 4,479 of 4,707 over `--budget 30 verify-tables 30` (228 entries).  An
-# entry holds at most one row per multiset of at most three proper divisors
-# of v; at degrees <= 60 and orders <= 72 it takes 0.75 KB on average and
-# 2 KB at most, so the full cache stays under 2 MB.
+# 4,479 of 4,707 over `--budget 30 verify-tables 30` (228 entries), 59 of 82
+# per exceptional-scan round (23 entries).  An entry holds at most one row
+# per multiset of at most three proper divisors of v, and no row grows with
+# n: at degrees <= 60 and orders <= 72 an entry takes 0.4 KB on average and
+# 2.4 KB at most, so the full cache stays under 2.5 MB; at degree 5,341,453
+# over S^2(2,3,6) the three entries take 0.3-0.8 KB.
 @lru_cache(maxsize=1024)
-def _branched_rows(n: int, v: int) -> tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]:
-    """The partitions of n into parts dividing v with at most three branched
-    parts k < v, as rows (partition, parts descending; its number of parts;
-    the cone orders v // k of a cover above its branched parts), in
-    descending order.  Unbranched parts v fill what the branched parts
-    leave, so each multiset of at most three proper divisors k <= n fixes
-    one row, kept when v divides the rest; the other partitions of n, whose
-    number grows without bound in n, are never built."""
-    divs = [k for k in divisors(v)[-2::-1] if k <= n]
-    fills = []  # (unbranched count, branched parts)
-    for size in range(4):
-        for parts in combinations_with_replacement(divs, size):
-            count, rest = divmod(n - sum(parts), v)
-            if count >= 0 and not rest:
-                fills.append((count, parts))
+def _branched_rows(n: int, v: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The ways to fill degree n at a base point of order v with at most
+    three branched parts, as rows (branched parts k < v dividing v,
+    descending; the cone orders v // k of a cover above them, ascending; the
+    count of unbranched parts v that fill the rest), in descending order of
+    the full partitions (v,) * count + parts.
+
+    Each multiset of at most three proper divisors k <= n fixes one row,
+    kept when v divides what the parts leave.  A row stores no part v, so
+    nothing in it grows with n, and the other partitions of n into divisors
+    of v, whose number grows without bound in n, are never built.  Both
+    partition_systems and the permutation oracle read their rows here.
+    """
+    divs = [k for k in divisors(v)[-2::-1] if k <= n]  # descending
+    # (unbranched count, branched parts): the multisets walked as nested
+    # loops over the divisors, each taking its part off what is left of n
+    fills = [] if n % v else [(n // v, ())]
+    for i, k1 in enumerate(divs):
+        r1 = n - k1
+        if not r1 % v:
+            fills.append((r1 // v, (k1,)))
+        for j in range(i, len(divs)):
+            k2 = divs[j]
+            r2 = r1 - k2
+            if r2 < 0:
+                continue
+            if not r2 % v:
+                fills.append((r2 // v, (k1, k2)))
+            for k3 in divs[j:]:
+                r3 = r2 - k3
+                if r3 >= 0 and not r3 % v:
+                    fills.append((r3 // v, (k1, k2, k3)))
     # more unbranched parts v first, then the branched parts descending:
-    # the descending order of the partitions
+    # the descending order of the full partitions
     fills.sort(reverse=True)
-    return tuple(((v,) * count + parts, count + len(parts), tuple(v // k for k in parts))
-                 for count, parts in fills)
+    return tuple([(parts, tuple([v // k for k in parts]), count) for count, parts in fills])
 
 
 @dataclass(frozen=True)
@@ -140,9 +168,12 @@ class PartitionSystem:
             raise ValueError("partition system needs exactly 3 base points (pad with 1s)")
         counts = []
         for v, parts in zip(self.base_orders, self.partitions):
-            if any(not 0 < k < v or v % k for k in parts):
-                raise ValueError(f"branched parts {parts} must be proper divisors of the base order {v}")
-            count, rest = divmod(self.degree - sum(parts), v)
+            total = 0
+            for k in parts:
+                if not 0 < k < v or v % k:
+                    raise ValueError(f"branched parts {parts} must be proper divisors of the base order {v}")
+                total += k
+            count, rest = divmod(self.degree - total, v)
             if count < 0 or rest:
                 raise ValueError(f"branched parts {parts} do not fill degree {self.degree} with parts {v}")
             counts.append(count)
@@ -151,8 +182,8 @@ class PartitionSystem:
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
         """The full partitions of the degree, the cycle types of a witness.
         They grow with the degree; only the permutation oracle reads them."""
-        return tuple((v,) * c + parts
-                     for v, c, parts in zip(self.base_orders, self.unbranched, self.partitions))
+        (va, vb, vc), (ca, cb, cc), (pa, pb, pc) = self.base_orders, self.unbranched, self.partitions
+        return (va,) * ca + pa, (vb,) * cb + pb, (vc,) * cc + pc
 
     def branch_orders(self) -> tuple[int, ...]:
         """Cone orders of the covering orbifold."""
@@ -169,24 +200,35 @@ def partition_systems(cover: Orbifold2, base: Orbifold2, n: int) -> list[Partiti
     partitions enumerated independently, so systems differing by which point
     carries which partition are listed separately.
 
-    The systems are generated from the wanted cover orders: each order w is
-    placed at a padded base point whose order v it divides, where it becomes
-    the part v/w, and the rest of that point's degree must be a multiple of v,
-    made up of unbranched parts v.  With k cone points on the cover this
-    tries at most 3^k placements and stores k parts, whatever n is.  The
-    list is sorted descending by the full partitions, unbranched parts first.
+    The systems are a join over the _branched_rows of the padded base
+    points: one row per point, kept when the cone orders above the three
+    rows' branched parts are, together, the cover's.  With at most three
+    cone points on the cover no point has more than three branched parts,
+    and no row stores a part that grows with n.  Nested in point order, each
+    point's rows descending, the loops list the systems in descending order
+    of their full partitions, point by point, unbranched parts first.  A
+    cover with more than three cone points raises ValueError, as in
+    classify_cover.
     """
+    want = cover.cone_orders
+    if len(want) > 3:
+        raise ValueError("partition systems are listed for covers with <= 3 cone points")
+    size = len(want)
     base3 = base.padded(3)
-    found = set()
-    points = [[i for i in range(3) if base3[i] % w == 0] for w in cover.cone_orders]
-    for placement in product(*points):
-        branched = ([], [], [])
-        for w, i in zip(cover.cone_orders, placement):
-            branched[i].append(base3[i] // w)
-        if all(n >= sum(parts) and (n - sum(parts)) % v == 0 for v, parts in zip(base3, branched)):
-            found.add(tuple(tuple(sorted(parts, reverse=True)) for parts in branched))
-    ordered = sorted(found, key=lambda combo: [(-sum(parts), parts) for parts in combo], reverse=True)
-    return [PartitionSystem(n, base3, combo) for combo in ordered]
+    rows_c = _branched_rows(n, base3[2])
+    out = []
+    for parts_a, orders_a, _ in _branched_rows(n, base3[0]):
+        if len(orders_a) > size:
+            continue
+        for parts_b, orders_b, _ in _branched_rows(n, base3[1]):
+            orders_ab = orders_a + orders_b
+            rest = size - len(orders_ab)
+            if rest < 0:
+                continue
+            for parts_c, orders_c, _ in rows_c:
+                if len(orders_c) == rest and tuple(sorted(orders_ab + orders_c)) == want:
+                    out.append(PartitionSystem(n, base3, (parts_a, parts_b, parts_c)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +279,15 @@ def canonical_perm(n: int, ctype: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def conjugacy_class_size(n: int, ctype: tuple[int, ...]) -> int:
-    denom = 1
-    for length, count in Counter(ctype).items():
-        denom *= length**count * factorial(count)
+    """n! over the centralizer order, the product of l^m * m! over the
+    lengths l that occur m times in the type.  One walk over the sorted type
+    multiplies in l * r for the r-th cycle of each run of length l."""
+    denom = run = 1
+    prev = 0
+    for length in sorted(ctype):
+        run = run + 1 if length == prev else 1
+        prev = length
+        denom *= length * run
     return factorial(n) // denom
 
 
@@ -312,9 +360,9 @@ class PermWitness:
 
     def __post_init__(self):
         types = _checked_cycle_types(self.degree, self.perms)
-        # every cycle length divides v iff their lcm does
-        if any(v % lcm(*ctype) for v, ctype in zip(self.base_orders, types)):
-            raise ValueError("cycle length does not divide the base cone order")
+        for v, ctype in zip(self.base_orders, types):
+            if v % lcm(*ctype):  # every cycle length divides v iff their lcm does
+                raise ValueError("cycle length does not divide the base cone order")
         object.__setattr__(self, "cycle_types", types)
 
     def cover_orders(self) -> tuple[int, ...]:
@@ -481,7 +529,12 @@ def _triple_for_types(n: int, types: tuple[tuple[int, ...], ...]):
         touch[si] -= 1
         return False
 
-    if not extend(0, 0):
+    found = extend(0, 0)
+    # extend holds itself through its closure; dropping the name breaks that
+    # cycle, so the search's lists are freed now rather than left for the
+    # garbage collector
+    del extend
+    if not found:
         return None
     b = tuple(b)
     triple = (a, b, perm_inverse(perm_mul(a, b)))
@@ -503,10 +556,12 @@ def _witness_for_types(n: int, base3, types) -> PermWitness | None:
     triple = _triple_for_types(n, key)
     if triple is None:
         return None
-    if types not in (key, key[1:] + key[:1], key[2:] + key[:2]):
+    turns = (key, key[1:] + key[:1], key[2:] + key[:2])
+    if types not in turns:
         key = key[::-1]
-        triple = tuple(perm_inverse(s) for s in reversed(triple))
-    r = next(r for r in range(3) if key[r:] + key[:r] == types)
+        triple = tuple([perm_inverse(s) for s in reversed(triple)])
+        turns = (key, key[1:] + key[:1], key[2:] + key[:2])
+    r = turns.index(types)
     return PermWitness(n, tuple(base3), triple[r:] + triple[:r])
 
 
@@ -520,41 +575,43 @@ def perm_cover_oracle(base: Orbifold2, n: int, budget: int = ORACLE_BUDGET) -> d
     its base order) lies under one cone point of the cover.  So the typesets
     (one divisor partition of n per base point) are walked in product order,
     visiting only those with n + 2 cycles and at most three branched parts.
-    Each point reads its partitions with at most three branched parts, with
-    their lengths and cover orders, from the bounded _branched_rows table
-    of its (degree, point order), and the third point's partitions are
-    indexed by length.  A
-    typeset whose cover orders already have a witness is skipped; the rest
-    go to _witness_for_types, which searches each multiset of types once and
-    caches the answer, so a multiset that failed, here or for another base,
-    is not searched again.
+    Each point reads its partitions with at most three branched parts, as
+    branched parts, cover orders and unbranched count, from the bounded
+    _branched_rows table of its (degree, point order), and the third point's
+    rows are indexed by their number of parts.  A typeset whose cover orders
+    already have a witness is skipped; the rest have their full cycle types
+    built and go to _witness_for_types, which searches each multiset of
+    types once and caches the answer, so a multiset that failed, here or for
+    another base, is not searched again.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n > budget:
         raise BudgetExceededError(budget)
     base3 = base.padded(3)
-    rows_a = _branched_rows(n, base3[0])
-    rows_b = _branched_rows(n, base3[1])
-    rows_c = _branched_rows(n, base3[2])
+    va, vb, vc = base3
+    # the third point's rows by their number of parts, branched and not
     third: dict[int, list] = {}
-    for tc, length, orders_c in rows_c:
-        third.setdefault(length, []).append((tc, orders_c))
+    for row in _branched_rows(n, vc):
+        third.setdefault(row[2] + len(row[0]), []).append(row)
+    rows_b = _branched_rows(n, vb)
     found: dict[tuple[int, ...], PermWitness] = {}
-    for ta, length_a, orders_a in rows_a:
-        want = n + 2 - length_a
-        for tb, length_b, orders_b in rows_b:
+    for parts_a, orders_a, count_a in _branched_rows(n, va):
+        want = n + 2 - count_a - len(parts_a)
+        for parts_b, orders_b, count_b in rows_b:
             orders_ab = orders_a + orders_b
-            rows = third.get(want - length_b)
+            rows = third.get(want - count_b - len(parts_b))
             if rows is None or len(orders_ab) > 3:
                 continue
-            for tc, orders_c in rows:
+            for parts_c, orders_c, count_c in rows:
                 if len(orders_ab) + len(orders_c) > 3:
                     continue
                 orders = tuple(sorted(orders_ab + orders_c))
                 if orders in found:
                     continue
-                witness = _witness_for_types(n, base3, (ta, tb, tc))
+                # the full cycle types, built only for a typeset searched
+                types = ((va,) * count_a + parts_a, (vb,) * count_b + parts_b, (vc,) * count_c + parts_c)
+                witness = _witness_for_types(n, base3, types)
                 if witness is not None:
                     found[orders] = witness
     return dict(sorted(found.items()))
@@ -713,8 +770,8 @@ def _is_row(cover: tuple[int, ...], base: tuple[int, ...], n: int, negative: boo
 # shared empty one) takes about 0.2 KB: 0.2 MB full.
 @lru_cache(maxsize=1024)
 def _classify_orders(cover: tuple[int, ...], base: tuple[int, ...]) -> DegreeSet:
-    B = Orbifold2(base)
-    n = riemann_hurwitz_degree(Orbifold2(cover), B)
+    B = shared_orbifold(base)
+    n = riemann_hurwitz_degree(shared_orbifold(cover), B)
     if n is UNCONSTRAINED:
         return _zero_degrees(cover, base)
     if n is not None and _is_row(cover, base, n, B.chi[0] < 0):

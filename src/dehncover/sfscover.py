@@ -21,7 +21,14 @@ Per candidate the stages run in this order: Riemann-Hurwitz and the table
 (classify_cover) admit (d, C); the |H_1| divisibility test and, for an SFS
 cover, the gcd of the fiberwise degree with C's cone orders are integer
 checks on (d, C) alone; only then are the partition systems listed, each
-pulled back and lifted.  Lemma: every candidate has at least one partition
+pulled back and lifted.  The listing joins rows of orbcover's bounded
+per-point table (keyed by degree and point order, shared with the
+permutation oracle), so candidates over the same base points and degree
+read the same rows.  The orbifolds C that a lens cover may fiber over,
+and those the table lookups build, come from one bounded cache
+(core.shared_orbifold); the classifications build their own, and
+_lens_candidate_bases returns no candidate over a base of chi <= 0 before
+any cache is read.  Lemma: every candidate has at least one partition
 system.  It is a row of classify_cover, so a real orbifold cover, and the
 cycle types of that cover's monodromy satisfy the partition condition: at a
 base point of order v each cycle has length k dividing v, a cone point of
@@ -50,7 +57,8 @@ are namedtuples, so each lookup hashes in C; and fiberwise_lift tests that
 b~ is an integer by one divmod on the integer Euler pair
 (core.euler_pair), building no Fraction.  A partition system keeps its
 branched parts and unbranched counts, which pullback folds into b in one
-step, so nothing grows with the orbifold degree past orbcover.ORACLE_BUDGET.
+pass over the points, so nothing grows with the orbifold degree past
+orbcover.ORACLE_BUDGET.
 Up to that degree a certificate carries a monodromy witness, which realises
 its own partition system (its cycle types are the system's cycle_types());
 the witness only cross-certifies and never decides a pair.
@@ -70,6 +78,7 @@ from .core import (
     lens_covers,
     sfs_equivalent,
     sfs_to_lens,
+    shared_orbifold,
 )
 from .surgery import (
     LENS,
@@ -133,7 +142,10 @@ def fiberwise_lift(M: SeifertInvariants, d: int) -> SeifertInvariants | None:
     equivalent to M.
     """
     _check_fiberwise_degree(M, d)
-    lifted = tuple((a, (pow(d, -1, a) * be) % a) for a, be in M.fibers)
+    lifted = []
+    for a, be in M.fibers:
+        lifted.append((a, pow(d, -1, a) * be % a))
+    lifted = tuple(lifted)
     # b~ = -e(M)/d - sum beta~/alpha must come out an integer; with
     # e(M) = -num/den and sum beta~/alpha = s/den over the same den, that is
     # (num - d s) / (d den)
@@ -155,16 +167,26 @@ def pullback(M: SeifertInvariants, sys: PartitionSystem) -> SeifertInvariants:
     to M's fibers in sorted order (systems differing by which equal-order
     point carries which partition are distinct systems).
     """
-    orders = tuple(a for a, _ in M.fibers)
+    fibers = M.fibers
+    b = sys.degree * M.b
+    lifted = []
+    i = 0  # the index of the fiber of M over the next point of order > 1
+    for v, parts, count in zip(sys.base_orders, sys.partitions, sys.unbranched):
+        if v == 1:
+            continue
+        if i == len(fibers) or fibers[i][0] != v:
+            break
+        be = fibers[i][1]
+        i += 1
+        b += be * count
+        for k in parts:
+            lifted.append((v // k, be))
+    else:
+        if i == len(fibers):
+            return SeifertInvariants(b, tuple(lifted))
+    orders = tuple(a for a, _ in fibers)
     sys_orders = tuple(v for v in sys.base_orders if v > 1)
-    if orders != sys_orders:
-        raise ValueError(
-            f"partition system over S2{sys_orders} does not match base orbifold S2{orders}"
-        )
-    points = list(zip(M.fibers, [(parts, count) for v, parts, count
-                                 in zip(sys.base_orders, sys.partitions, sys.unbranched) if v > 1]))
-    b = sys.degree * M.b + sum(be * count for (_, be), (_, count) in points)
-    return SeifertInvariants(b, tuple((a // k, be) for (a, be), (parts, _) in points for k in parts))
+    raise ValueError(f"partition system over S2{sys_orders} does not match base orbifold S2{orders}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +251,12 @@ def _oracle_witness(sys: PartitionSystem) -> PermWitness | None:
 def _lens_candidate_bases(B: Orbifold2) -> list[Orbifold2]:
     """Base orbifolds a lens space can fiber over while covering B: S^2 and
     S^2(d,d) with d dividing an order of B.  They have chi > 0, so there are
-    none when chi(B) <= 0."""
+    none when chi(B) <= 0, which is answered before any cache is read; the
+    others come from the cached divisors and core.shared_orbifold."""
     if B.chi[0] <= 0:
         return []
     ds = {d for v in B.cone_orders for d in divisors(v)}
-    return [Orbifold2((d, d)) if d > 1 else Orbifold2(()) for d in sorted(ds)]
+    return [shared_orbifold((d, d) if d > 1 else ()) for d in sorted(ds)]
 
 
 # _chi_zero_degree factors by trial division up to this bound (about 0.2 s);

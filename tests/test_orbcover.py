@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -190,12 +190,16 @@ def _divisor_partitions(n, v):
 
 def test_branched_rows_are_the_rows_of_the_full_table_that_the_oracle_keeps():
     # every point order v <= 36 and degree n <= 24: the rows with at most
-    # three branched parts, order included
+    # three branched parts, order included; a row keeps the branched parts,
+    # their cover orders and the count of unbranched parts v
     start = time.perf_counter()
     for v in range(1, 37):
         for n in range(1, 25):
             want = [row for row in _divisor_partitions(n, v) if len(row[2]) <= 3]
-            assert list(_branched_rows(n, v)) == want, (n, v)
+            got = [((v,) * count + parts, count + len(parts), orders)
+                   for parts, orders, count in _branched_rows(n, v)]
+            assert got == want, (n, v)
+            assert all(v not in parts for parts, _, _ in _branched_rows(n, v)), (n, v)
     assert time.perf_counter() - start < 1
     # the full table at (60, 60) has 73,155 rows
     assert len(_branched_rows(60, 60)) == 5
@@ -203,10 +207,15 @@ def test_branched_rows_are_the_rows_of_the_full_table_that_the_oracle_keeps():
 
 def _partition_systems_reference(cover, base, n):
     """Product of every divisor partition at each base point, filtered by
-    the branch orders it produces: the full partitions of each system."""
+    the branch orders it produces: the full partitions of each system.  A
+    point whose branched parts outnumber the cover's cone points, each of
+    which lies over one of them, joins no system, so it is left out of the
+    product first."""
     base3 = base.padded(3)
+    size = len(cover.cone_orders)
     systems = []
-    for combo in product(*[[row[0] for row in _divisor_partitions(n, v)] for v in base3]):
+    points = [[row[0] for row in _divisor_partitions(n, v) if len(row[2]) <= size] for v in base3]
+    for combo in product(*points):
         branch = sorted(v // k for v, parts in zip(base3, combo) for k in parts if v // k > 1)
         if tuple(branch) == cover.cone_orders:
             systems.append(combo)
@@ -228,6 +237,30 @@ def test_partition_systems_match_reference_small():
                     for n in range(1, 9):
                         key = (S2(cover), S2(base), n)
                         assert _expanded(partition_systems(*key)) == _partition_systems_reference(*key), key
+    # the degrees the decision asks: every base with orders <= 20 at every
+    # degree the table inversion admits its covers at (up to S^2 ->
+    # S^2(2,3,5) at 60), each with at least one system
+    checked = 0
+    for k in range(4):
+        for base in combinations_with_replacement(range(2, 21), k):
+            for n, covers in _covers_by_degree(base).items():
+                if n is UNCONSTRAINED:
+                    continue
+                for cover in covers:
+                    key = (S2(cover), S2(base), n)
+                    systems = _expanded(partition_systems(*key))
+                    assert systems and systems == _partition_systems_reference(*key), key
+                    checked += 1
+    assert checked == 1999
+    # and the chi = 0 bases at their Loeschian or two-square degrees <= 30
+    for base in [(2, 3, 6), (2, 4, 4), (3, 3, 3)]:
+        for cover in sorted(_covers_by_degree(base)[UNCONSTRAINED]):
+            degrees = [n for n in range(1, 31) if n in classify_cover(S2(cover), S2(base))]
+            assert len(degrees) >= 5, (cover, base)
+            for n in degrees:
+                key = (S2(cover), S2(base), n)
+                systems = _expanded(partition_systems(*key))
+                assert systems and systems == _partition_systems_reference(*key), key
 
 
 def test_partition_systems_match_reference_spherical():
@@ -255,6 +288,14 @@ def test_partition_system_size_does_not_grow_with_the_degree():
     for sys in systems:
         assert all(len(parts) <= 3 for parts in sys.partitions), sys
         assert sys.cover_orbifold() == B
+    # so do the rows of the table they are joined from: at most three
+    # branched parts and their cover orders, and a count of unbranched parts
+    for v in (1, 2, 3, 6):
+        rows = _branched_rows(5_341_453, v)
+        assert rows, v
+        for parts, orders, count in rows:
+            assert len(parts) == len(orders) <= 3, (v, parts)
+            assert count * v + sum(parts) == 5_341_453, (v, parts)
     # each keeps its counts of unbranched parts v, (degree - sum of parts) / v,
     # as do the systems of smaller covers
     for cover, base, n in [((3, 3), (2, 3, 3), 4), ((2, 2), (2, 2, 4), 4), ((), (2, 3, 5), 60),
@@ -265,6 +306,11 @@ def test_partition_system_size_does_not_grow_with_the_degree():
     for sys in systems:
         for v, count, parts in zip(sys.base_orders, sys.unbranched, sys.partitions):
             assert count * v == sys.degree - sum(parts), sys
+
+
+def test_partition_systems_take_at_most_three_cone_points():
+    with pytest.raises(ValueError, match="<= 3 cone points"):
+        partition_systems(S2((2, 2, 2, 2)), S2((2, 4, 4)), 4)
 
 
 def test_partition_system_checks_its_branched_parts():
@@ -289,6 +335,25 @@ def test_partition_system_checks_its_branched_parts():
 
 
 # --- permutation oracle
+
+
+def _partitions(n, largest=None):
+    """Every partition of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def test_conjugacy_class_sizes_sum_to_the_group_order():
+    # the classes of S_n, one per cycle type, partition it
+    for n in range(1, 13):
+        assert sum(conjugacy_class_size(n, t) for t in _partitions(n)) == factorial(n), n
+    assert conjugacy_class_size(6, (2, 2, 1, 1)) == 45
+    # the type may come in any order
+    assert conjugacy_class_size(6, (1, 2, 1, 2)) == 45
 
 
 def test_perm_witness_keeps_cycle_types_and_checks_every_witness():
