@@ -3,7 +3,7 @@ Command-line front door.
 
 Subcommands: classify, invariants, cover, orb-covers, verify-tables,
 realize, short-slopes, audit.  Exit codes: 0 success/verified, 1 invalid
-input, 2 all records failed, 3 enumeration budget exceeded, 141 output
+input, 2 all records failed, 3 orb-covers past its --budget, 141 output
 closed early by its reader.  The hyperbolic audit is imported by the two
 commands that read a census, so the others do not load it.
 """
@@ -64,9 +64,10 @@ GLOBAL_FLAGS = {
 }
 
 
-# the sporadic high-degree rows checked by verify-tables in addition to the
-# general scan: (cover orders, base orders, degree)
-TARGETED_ROWS = _NEG_SPORADIC
+# the sporadic high-degree rows within the oracle's default budget, checked
+# by verify-tables in addition to the general scan, their bases walked to
+# the Riemann-Hurwitz bound: (cover orders, base orders, degree)
+TARGETED_ROWS = tuple(row for row in _NEG_SPORADIC if row[2] <= ORACLE_BUDGET)
 
 # the |p| and q bounds of the directed slope scans over one torus knot
 SLOPE_SCAN_BOUNDS = (60, 8)
@@ -231,35 +232,26 @@ def _scan_bases(max_order: int = 9):
 def cmd_verify_tables(args) -> int:
     if args.max_degree < 1:
         raise ValueError("max degree must be >= 1")
-    # at least the degree of every targeted row, so that each is checked
-    budget = max(args.cfg.oracle_degree_budget, *(n for _c, _b, n in TARGETED_ROWS))
-    if args.max_degree > budget:  # refused before the scan prints a row
-        raise BudgetExceededError(budget)
+    top = args.max_degree
+    pairs = {(base.cone_orders, n) for base in _scan_bases(9) for n in range(1, min(top, 9) + 1)}
+    for orders in {b for _c, b, _n in TARGETED_ROWS}:
+        # a hyperbolic base: a cover with at most three cone points has
+        # chi > -1, so Riemann-Hurwitz keeps its degree below 1 / |chi|
+        num, den = Orbifold2(orders).chi
+        pairs.update((orders, n) for n in range(10, min(top, (den - 1) // -num) + 1))
+    pairs.update((orders, n) for _c, orders, n in TARGETED_ROWS)
     seen = {}
-
-    def check(base: Orbifold2, n: int):
-        key = (base.cone_orders, n)
-        if key in seen:
-            return seen[key]
-        rep = verify_pair(base, n, budget=budget)
-        seen[key] = rep
+    for orders, n in sorted(pairs):
+        rep = seen[orders, n] = verify_pair(Orbifold2(orders), n, budget=n)
         if not rep.clean:
             print(
                 f"DIFF\tbase={_fmt_orders(rep.base)}\tn={n}\t"
                 f"oracle-only={[_fmt_orders(o) for o in rep.oracle_only]}\t"
                 f"table-only={[_fmt_orders(o) for o in rep.table_only]}"
             )
-        return rep
-
     targeted_fail = 0
-    for base in _scan_bases(9):
-        for n in range(1, min(args.max_degree, 9) + 1):
-            check(base, n)
-    for orders in sorted({b for _c, b, _n in TARGETED_ROWS}):
-        for n in range(10, args.max_degree + 1):
-            check(Orbifold2(orders), n)
     for cov, orders, n in TARGETED_ROWS:
-        rep = check(Orbifold2(orders), n)
+        rep = seen[orders, n]
         ok = cov in table_covers(Orbifold2(orders), n) and cov not in rep.table_only
         if not ok:
             targeted_fail += 1
@@ -371,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     # given fall back to the Config field defaults in main().
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="degree budget of the permutation oracle in orb-covers and "
-                             f"verify-tables (default {Config.oracle_degree_budget})")
+                        help="degree budget of the permutation oracle in orb-covers (default "
+                             f"{Config.oracle_degree_budget}); verify-tables walks each targeted "
+                             "base to its Riemann-Hurwitz bound and reads no budget")
     common.add_argument("--format", choices=("text", "tsv"), default=argparse.SUPPRESS,
                         help=f"output format for report commands (default {Config.output_format})")
     common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,

@@ -658,6 +658,7 @@ _NEG_ROWS = (
     (lambda x, y: (x, 4 * x, 4 * x), lambda x, y: (2, 3, 4 * x), 6, False),
 )
 
+# the other chi < 0 rows: with _NEG_ROWS, Singerman's triangle-group list
 _NEG_SPORADIC = (
     ((4, 4, 5), (2, 4, 5), 6),
     ((3, 3, 7), (2, 3, 7), 8),
@@ -665,6 +666,7 @@ _NEG_SPORADIC = (
     ((3, 8, 8), (2, 3, 8), 10),
     ((4, 8, 8), (2, 3, 8), 12),
     ((9, 9, 9), (2, 3, 9), 12),
+    ((7, 7, 7), (2, 3, 7), 24),
 )
 
 # chi > 0: the d of the S^2(d,d) covers (d = 1 meaning S^2) of the spherical

@@ -344,12 +344,12 @@ _NO_CANDIDATES = CoverDecision(
     False, reason=NO_ORBIFOLD_COVER,
     detail="no admissible cover between the base orbifolds",
 )
-# When every candidate fails, the obstruction from the deepest stage.
-_NO_DEEPEST = tuple(
-    (reason, CoverDecision(False, reason=reason))
-    for reason in (REALIZATION_FAILURE, GCD_CONDITION, LENS_DIVISIBILITY, H1_DIVISIBILITY)
+# When every candidate fails, the obstruction from the deepest stage, by
+# rank: H1 divisibility, lens divisibility, gcd condition, realization failure.
+_NO_BY_STAGE = tuple(
+    CoverDecision(False, reason=reason)
+    for reason in (H1_DIVISIBILITY, LENS_DIVISIBILITY, GCD_CONDITION, REALIZATION_FAILURE)
 )
-_NO_COVER = CoverDecision(False, reason=NO_ORBIFOLD_COVER)
 
 
 def _decide_directed(
@@ -407,29 +407,28 @@ def _decide_directed(
             candidates.extend((d, C) for d in sorted(classify_cover(C, B).finite))
     candidates.sort(key=lambda t: (t[0], t[1].cone_orders))
 
-    obstructions = set()
+    deepest = 0  # the rank in _NO_BY_STAGE of the deepest stage a candidate failed
     for d_o, C in candidates:
         # |H_1| of the pullback along any of the systems (module docstring)
         hbar = d_o * abs(base_slope.p) * prod(C.cone_orders) // prod(B.cone_orders)
         if hbar % h_cover:
-            obstructions.add(H1_DIVISIBILITY)
             continue
         d_f = hbar // h_cover
         if cov.kind == SFS and any(gcd(d_f, w) != 1 for w in C.cone_orders):
-            obstructions.add(GCD_CONDITION)
+            deepest = max(deepest, 2)
             continue
         for sys in reversed(partition_systems(C, B, d_o)):  # ascending partitions
             inter = pullback(base.invariants, sys)
             if cov.kind == LENS:
                 dd = lens_covers(cov.lens, sfs_to_lens(inter))
                 if dd is None:
-                    obstructions.add(LENS_DIVISIBILITY)
+                    deepest = max(deepest, 1)
                     continue
                 assert dd == d_f
             else:
                 lifted = fiberwise_lift(inter, d_f)
                 if lifted is None or not sfs_equivalent(lifted, cov.invariants):
-                    obstructions.add(REALIZATION_FAILURE)
+                    deepest = 3
                     continue
             cert = CoverCertificate(
                 cover_slope,
@@ -445,11 +444,9 @@ def _decide_directed(
 
     if not candidates:
         return _NO_CANDIDATES
-    # all candidates failed; report the obstruction from the deepest stage
-    for reason, decision in _NO_DEEPEST:
-        if reason in obstructions:
-            return decision
-    return _NO_COVER
+    # every candidate has a partition system (module docstring), so each one
+    # failed at some stage: report the deepest
+    return _NO_BY_STAGE[deepest]
 
 
 @lru_cache(maxsize=1 << 20)

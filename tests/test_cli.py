@@ -54,6 +54,12 @@ def test_classify_negative_p(capsys):
     assert out.startswith("SFS S2(2,5,32)")
 
 
+def test_invariants_of_a_lens_surgery(capsys):
+    # a lens space has no Seifert base to print, only its H_1
+    code, out, _ = run(capsys, "invariants", 2, 3, 5, 1)
+    assert (code, out) == (0, "L(5,1)\nh1: 5\n")
+
+
 # --- cover
 
 
@@ -161,13 +167,13 @@ def test_orb_covers_budget_exceeded(capsys):
 
 
 def test_orb_covers_table_walks_only_the_degrees_with_rows(capsys):
-    # chi fixes each cover's degree, so 10^9 reads three degrees, not every
+    # chi fixes each cover's degree, so 10^9 reads four degrees, not every
     # degree up to it (some 40 minutes at about 2.4 us each)
     start = time.perf_counter()
     code, out, _ = run(capsys, "orb-covers", "--base", "2,3,7", "--max-degree", 10**9, "--table")
     assert time.perf_counter() - start < 1.0
     assert code == 0
-    assert out == "(2,3,7)\t1\ttable\n(3,3,7)\t8\ttable\n(2,7,7)\t9\ttable\n"
+    assert out == "(2,3,7)\t1\ttable\n(3,3,7)\t8\ttable\n(2,7,7)\t9\ttable\n(7,7,7)\t24\ttable\n"
 
 
 def test_orb_covers_table_refuses_a_long_chi_zero_family(capsys):
@@ -247,12 +253,38 @@ def test_verify_tables_targeted(capsys):
     assert lines[-1].startswith("PASS")
 
 
-def test_verify_tables_budget_exceeded(capsys):
-    # refused before the scan prints a row, as orb-covers is
-    code, out, err = run(capsys, "verify-tables", 13)
-    assert code == 3
-    assert out == ""
-    assert err == "error: enumeration budget exceeded (degree bound 12)\n"
+def test_verify_tables_reads_its_degree_bound_from_the_base(capsys):
+    # each targeted base is walked to its Riemann-Hurwitz bound (41 over
+    # S^2(2,3,7)), so any N passes, and --budget changes nothing
+    for top in (13, 1000):
+        code, out, err = run(capsys, "verify-tables", top)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("PASS verified ")
+        assert " 0 diffs, " in out
+    _, want, _ = run(capsys, "verify-tables", 9)
+    assert run(capsys, "--budget", 5, "verify-tables", 9) == (0, want, "")
+
+
+def test_verify_tables_reports_a_missing_row(capsys, monkeypatch):
+    # with the row (3,3,7) -> (2,3,7) taken out of the tables, the oracle's
+    # cover is a diff and the targeted row is missing
+    from dehncover import orbcover
+
+    row = ((3, 3, 7), (2, 3, 7), 8)
+    caches = (orbcover._classify_orders, orbcover._covers_by_degree)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(orbcover, "_NEG_SPORADIC", tuple(r for r in orbcover._NEG_SPORADIC if r != row))
+    try:
+        code, out, _ = run(capsys, "verify-tables", 9)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    lines = out.splitlines()
+    assert code == 1
+    assert "DIFF\tbase=(2,3,7)\tn=8\toracle-only=['(3,3,7)']\ttable-only=[]" in lines
+    assert "TARGETED\t(3,3,7) -> (2,3,7) @ 8\tMISSING" in lines
+    assert lines[-1] == "FAIL 1 diffs, 1 targeted rows missing"
 
 
 # --- realize
@@ -650,6 +682,20 @@ def test_audit_tsv_golden(capsys, tmp_path, census_records):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_AUDIT_SHA256
 
 
+def test_audit_text_lists_the_open_rows_of_an_unverified_record(capsys, tmp_path):
+    # one survivor row (1/1 at degrees 3 and 4) and 27 short slopes with no
+    # filling data keep the record open
+    path = tmp_path / "census.txt"
+    path.write_text("a 0.1 1.2 4.0 0 1 0.5 1 1 1.0 3 1 1.5\n")
+    code, out, err = run(capsys, "audit", path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "a\tNOT VERIFIED (28 open rows)"
+    assert lines[1] == "  * -> 1/1\tdegrees [3,4]\tsurvivor: volume filter leaves candidate degrees; not eliminated"
+    assert len(lines) == 29
+    assert all(line.endswith("\tdegrees []\tunmeasured: no filling data") for line in lines[2:])
+
+
 def test_output_deterministic(capsys, census_file):
     runs = []
     for _ in range(2):
@@ -660,6 +706,11 @@ def test_output_deterministic(capsys, census_file):
 
 
 # --- global flags
+
+
+def test_budget_must_be_positive(capsys):
+    code, out, err = run(capsys, "--budget", 0, "orb-covers", "--base", "2,3,7", "--max-degree", 1, "--oracle")
+    assert (code, out, err) == (1, "", "error: --budget must be >= 1\n")
 
 
 @pytest.mark.parametrize("flag, first, second, field", [

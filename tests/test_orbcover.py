@@ -251,7 +251,7 @@ def test_partition_systems_match_reference_small():
                     systems = _expanded(partition_systems(*key))
                     assert systems and systems == _partition_systems_reference(*key), key
                     checked += 1
-    assert checked == 1999
+    assert checked == 2000
     # and the chi = 0 bases at their Loeschian or two-square degrees <= 30
     for base in [(2, 3, 6), (2, 4, 4), (3, 3, 3)]:
         for cover in sorted(_covers_by_degree(base)[UNCONSTRAINED]):
@@ -723,6 +723,16 @@ def test_oracle_matches_the_spherical_tables_at_their_full_degrees():
     assert time.process_time() - start < 5
 
 
+def test_oracle_agrees_with_the_tables_over_2_3_7_to_its_riemann_hurwitz_bound():
+    # a cover with at most three cone points has chi > -1, so over
+    # S^2(2,3,7) (chi = -1/42) its degree is at most 41; (7,7,7) at 24 is
+    # the highest-degree row of Singerman's list
+    for n in range(1, 42):
+        rep = verify_pair(S2((2, 3, 7)), n, budget=n)
+        assert rep.clean, rep
+    assert table_covers(S2((2, 3, 7)), 24) == {(7, 7, 7)}
+
+
 def test_oracle_checks_the_fourth_summary_omitted_row():
     # S^2(2,2,2) -> S^2(2,3,5) at degree 15, the row past the budget of
     # verify-tables; enumerating the smallest class took 4.5 s here
@@ -818,7 +828,7 @@ def test_covers_by_degree_equals_the_reference_walk():
 def test_classify_cover_rows_obey_riemann_hurwitz_and_divisibility(classified_rows):
     # table_covers lists its candidates from both facts
     _, rows = classified_rows
-    assert len(rows) == 358
+    assert len(rows) == 359
     for C, B, n in rows:
         assert chi_fraction(C) == n * chi_fraction(B), (C, B, n)
         assert all(any(v % w == 0 for v in B.cone_orders) for w in C.cone_orders), (C, B, n)

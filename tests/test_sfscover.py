@@ -517,7 +517,7 @@ def test_every_cover_candidate_has_a_partition_system():
                 for L in _lens_candidate_bases(B):
                     for n in classify_cover(L, B).finite:
                         assert L.cone_orders in by_degree[n], (L, B, n)
-    assert rows == 430
+    assert rows == 431
     self_covers = []
     for base in ((2, 3, 6), (2, 4, 4), (3, 3, 3)):
         B = Orbifold2(base)
